@@ -73,7 +73,7 @@ type Coordinator struct {
 	// the worker default, leaving room for the worker's other clients).
 	PerWorker int
 	// MaxInflight bounds this coordinator's total concurrently dispatched
-	// jobs (and goroutine spawn, like sim.Engine's pool). <= 0 means
+	// jobs (and its goroutines: jobs run on sim.ForEach). <= 0 means
 	// 4×GOMAXPROCS.
 	MaxInflight int
 
@@ -350,39 +350,94 @@ func (c *Coordinator) withWorker(ctx context.Context, w *worker, remote func(ctx
 	return remote(ctx, w.base)
 }
 
-// pool executes n independent jobs with bounded concurrency and bounded
-// goroutine spawn, mirroring sim.Engine's pool: a slot is acquired before
-// each goroutine exists, canceled jobs run inline on the fast-fail path,
-// and pool never returns with a spawned goroutine still live.
-func (c *Coordinator) pool(ctx context.Context, n int, job func(i int)) {
+// --- jobs -----------------------------------------------------------------
+
+// job is one distributed cell job, the unit every sweep kind decomposes
+// into: its placement key, the worker request that computes it, the check
+// a worker's answer must pass, and how the local engine computes it once
+// every worker attempt is spent. A kind of cell needs only a job
+// constructor; placement, retries, answer checking and the local
+// fallback are run's.
+type job[A any] struct {
+	name  string                                              // names the job in errors
+	key   string                                              // placement key: the cell's cache key
+	err   error                                               // a job whose key could not be computed fails unplaced
+	path  string                                              // worker endpoint
+	req   any                                                 // worker request body
+	check func(A) error                                       // rejects an answer for any other cell
+	local func(ctx context.Context, e *sim.Engine) (A, error) // the fallback computation
+}
+
+// run drives the job through runJob's placement, retries and local
+// fallback, POSTing it to each worker it tries. A worker answering for
+// any other cell than the one asked for — another budget, another
+// ablation knob, a build with other study defaults — is a protocol bug,
+// not data: its answer fails the job's check and counts as a failed
+// attempt, so a healthy worker (or the local engine) re-answers.
+func (j job[A]) run(ctx context.Context, c *Coordinator) (A, error) {
+	var answer A
+	if err := ctx.Err(); err != nil {
+		return answer, fmt.Errorf("dist: %s: %w", j.name, err)
+	}
+	if j.err != nil {
+		return answer, fmt.Errorf("dist: %s: %w", j.name, j.err)
+	}
+	var local func(context.Context) error
+	if c.Local != nil {
+		local = func(ctx context.Context) error {
+			a, err := j.local(ctx, c.Local)
+			if err != nil {
+				return fmt.Errorf("local: %w", err)
+			}
+			answer = a
+			return nil
+		}
+	}
+	err := c.runJob(ctx, j.key, func(ctx context.Context, base string) error {
+		var a A
+		if err := c.postJSON(ctx, base, j.path, j.req, &a); err != nil {
+			return err
+		}
+		if err := j.check(a); err != nil {
+			return err
+		}
+		answer = a
+		return nil
+	}, local)
+	if err != nil {
+		return answer, fmt.Errorf("dist: %s: %w", j.name, err)
+	}
+	return answer, nil
+}
+
+// runJobs runs the jobs on sim's bounded pool (at most MaxInflight at a
+// time) and returns the answers of every job that completed, in job
+// order, with the per-job errors joined — the engine's partial-result
+// contract. done (when non-nil) fires per job as it settles; a failed job
+// reports its error and a zero answer.
+func runJobs[A any](ctx context.Context, c *Coordinator, jobs []job[A], done func(i int, a A, err error)) ([]A, error) {
 	inflight := c.MaxInflight
 	if inflight <= 0 {
 		inflight = 4 * runtime.GOMAXPROCS(0)
 	}
-	sem := make(chan struct{}, inflight)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			job(i) // fast-fail path: records the cancellation error
-			continue
+	answers := make([]A, len(jobs))
+	errs := make([]error, len(jobs))
+	sim.ForEach(ctx, inflight, len(jobs), func(i int) {
+		answers[i], errs[i] = jobs[i].run(ctx, c)
+		if done != nil {
+			done(i, answers[i], errs[i])
 		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			job(i)
-		}(i)
+	})
+	finished := answers[:0]
+	for i := range answers {
+		if errs[i] == nil {
+			finished = append(finished, answers[i])
+		}
 	}
-	wg.Wait()
+	return finished, errors.Join(errs...)
 }
 
 // --- wire helpers ---------------------------------------------------------
-
-// errorBody mirrors the server's uniform error envelope.
-type errorBody struct {
-	Error string `json:"error"`
-}
 
 // postJSON POSTs req to base+path and decodes a 200 response into out.
 // Any other status is surfaced as an error carrying the worker's own
@@ -407,7 +462,7 @@ func (c *Coordinator) postJSON(ctx context.Context, base, path string, req, out 
 		return fmt.Errorf("read response: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		var eb errorBody
+		var eb ErrorBody
 		if json.Unmarshal(b, &eb) == nil && eb.Error != "" {
 			return fmt.Errorf("status %d: %s", resp.StatusCode, eb.Error)
 		}
@@ -419,62 +474,33 @@ func (c *Coordinator) postJSON(ctx context.Context, base, path string, req, out 
 	return nil
 }
 
-// runRequest mirrors the server's /v1/run request body. The mode travels
-// as its report name (sim.ParseMode accepts both spellings), so the job
-// a worker validates is spelled exactly like the result it returns.
-type runRequest struct {
-	Bench         string `json:"bench"`
-	Depth         int    `json:"depth"`
-	Mode          string `json:"mode"`
-	MaxInsts      int64  `json:"max_insts"`
-	CutAtLoads    bool   `json:"cut_at_loads"`
-	ConfThreshold uint   `json:"conf_threshold"`
-}
+// --- matrix jobs ----------------------------------------------------------
 
-// runSpec computes one matrix cell: remotely via POST /v1/run with
-// bounded retries, locally as the last resort.
-func (c *Coordinator) runSpec(ctx context.Context, spec sim.Spec) (sim.Result, error) {
-	var out sim.Result
-	req := runRequest{
-		Bench: spec.Bench, Depth: spec.Depth, Mode: spec.Mode.String(),
-		MaxInsts: spec.MaxInsts, CutAtLoads: spec.CutAtLoads,
-		ConfThreshold: uint(spec.ConfThreshold),
-	}
-	err := c.runJob(ctx, sim.CacheKey(spec, spec.Config()),
-		func(ctx context.Context, base string) error {
-			var r sim.Result
-			if err := c.postJSON(ctx, base, "/v1/run", req, &r); err != nil {
-				return err
+// specJob is one matrix cell: a POST /v1/run placed by the cell's cache
+// key, whose answer must be for exactly the spec asked for.
+func specJob(spec sim.Spec) job[sim.Result] {
+	return job[sim.Result]{
+		name: spec.String(),
+		key:  sim.CacheKey(spec, spec.Config()),
+		path: "/v1/run",
+		req: RunRequest{
+			Bench: spec.Bench, Depth: spec.Depth, Mode: spec.Mode.String(),
+			MaxInsts: spec.MaxInsts, CutAtLoads: spec.CutAtLoads,
+			ConfThreshold: uint(spec.ConfThreshold),
+		},
+		check: func(r sim.Result) error {
+			if r.Spec != spec {
+				return fmt.Errorf("answered for %+v, asked for %+v", r.Spec, spec)
 			}
-			// A worker answering for the wrong cell is a protocol bug, not
-			// data; treat it as a failed attempt so a healthy worker (or the
-			// local engine) re-answers.
-			if r.Spec.Bench != spec.Bench || r.Spec.Depth != spec.Depth || r.Spec.Mode != spec.Mode {
-				return fmt.Errorf("answered for %s, asked for %s", r.Spec, spec)
-			}
-			out = r
 			return nil
 		},
-		c.localSpec(spec, &out))
-	if err != nil {
-		return sim.Result{}, fmt.Errorf("dist: %s: %w", spec, err)
-	}
-	return out, nil
-}
-
-// localSpec builds the local-fallback closure for one spec, or nil
-// without a local engine.
-func (c *Coordinator) localSpec(spec sim.Spec, out *sim.Result) func(context.Context) error {
-	if c.Local == nil {
-		return nil
-	}
-	return func(ctx context.Context) error {
-		results, err := c.Local.Run(ctx, []sim.Spec{spec})
-		if err != nil {
-			return fmt.Errorf("local: %w", err)
-		}
-		*out = results[0]
-		return nil
+		local: func(ctx context.Context, e *sim.Engine) (sim.Result, error) {
+			results, err := e.Run(ctx, []sim.Spec{spec})
+			if err != nil {
+				return sim.Result{}, err
+			}
+			return results[0], nil
+		},
 	}
 }
 
@@ -483,25 +509,11 @@ func (c *Coordinator) localSpec(spec sim.Spec, out *sim.Result) func(context.Con
 // (when non-nil) fires per spec as it settles, partial results survive
 // partial failure, and per-spec errors are joined.
 func (c *Coordinator) RunSpecs(ctx context.Context, specs []sim.Spec, done func(i int, r sim.Result, err error)) ([]sim.Result, error) {
-	results := make([]sim.Result, len(specs))
-	errs := make([]error, len(specs))
-	c.pool(ctx, len(specs), func(i int) {
-		if err := ctx.Err(); err != nil {
-			errs[i] = fmt.Errorf("dist: %s: %w", specs[i], err)
-		} else {
-			results[i], errs[i] = c.runSpec(ctx, specs[i])
-		}
-		if done != nil {
-			done(i, results[i], errs[i])
-		}
-	})
-	finished := results[:0]
-	for i := range results {
-		if errs[i] == nil {
-			finished = append(finished, results[i])
-		}
+	jobs := make([]job[sim.Result], len(specs))
+	for i, spec := range specs {
+		jobs[i] = specJob(spec)
 	}
-	return finished, errors.Join(errs...)
+	return runJobs(ctx, c, jobs, done)
 }
 
 // Matrix runs the (bench × depth × mode) grid distributed and folds the
@@ -520,16 +532,38 @@ func (c *Coordinator) Matrix(ctx context.Context, benches []string, depths []int
 
 // --- study jobs -----------------------------------------------------------
 
-// smtRequest and smtResponse mirror the server's /v1/study/smt bodies.
-type smtRequest struct {
-	Mixes     []string `json:"mixes"`
-	MaxCycles int64    `json:"max_cycles"`
-}
-
-type smtResponse struct {
-	Config smt.Config      `json:"config"`
-	Cells  []sim.SMTRecord `json:"cells"`
-	Error  string          `json:"error,omitempty"`
+// smtJob is one SMT mix: a one-mix POST /v1/study/smt. Its placement key
+// is the mix's first policy cell's study key: any of the mix's cells pins
+// the full configuration, and one stable choice keeps the mix's placement
+// (and so its cache locality) consistent. The answer must carry the
+// asked-for model configuration and one cell per policy, all of the mix.
+func smtJob(mix workload.Mix, cfg smt.Config) job[SMTResponse] {
+	key, err := sim.StudyKey(sim.SMTStudy{Mix: mix, Policy: sim.SMTPolicies[0], Config: cfg})
+	return job[SMTResponse]{
+		name: "smt " + mix.Name,
+		key:  key,
+		err:  err,
+		path: "/v1/study/smt",
+		req:  SMTRequest{Mixes: []string{mix.Name}, MaxCycles: cfg.MaxCycles},
+		check: func(r SMTResponse) error {
+			if r.Config != cfg {
+				return fmt.Errorf("answered under config %+v, asked for %+v", r.Config, cfg)
+			}
+			if len(r.Cells) != len(sim.SMTPolicies) {
+				return fmt.Errorf("answered %d cells for mix %s, want %d", len(r.Cells), mix.Name, len(sim.SMTPolicies))
+			}
+			for _, cell := range r.Cells {
+				if cell.Mix != mix.Name {
+					return fmt.Errorf("answered for mix %s, asked for %s", cell.Mix, mix.Name)
+				}
+			}
+			return nil
+		},
+		local: func(ctx context.Context, e *sim.Engine) (SMTResponse, error) {
+			g, err := e.RunSMTGrid(ctx, []workload.Mix{mix}, sim.SMTPolicies, cfg)
+			return SMTResponse{Config: cfg, Cells: g.Records()}, err
+		},
+	}
 }
 
 // SMTGrid runs the SMT fetch-policy study distributed, one job per mix
@@ -539,155 +573,68 @@ type smtResponse struct {
 // exactly sim.SMTGrid.Records' mix-major iteration, so the merged slice
 // is byte-compatible with a single-node run.
 func (c *Coordinator) SMTGrid(ctx context.Context, mixes []workload.Mix, cfg smt.Config) ([]sim.SMTRecord, error) {
-	perMix := make([][]sim.SMTRecord, len(mixes))
-	errs := make([]error, len(mixes))
-	c.pool(ctx, len(mixes), func(i int) {
-		perMix[i], errs[i] = c.runSMTMix(ctx, mixes[i], cfg)
-	})
+	jobs := make([]job[SMTResponse], len(mixes))
+	for i, mix := range mixes {
+		jobs[i] = smtJob(mix, cfg)
+	}
+	answers, err := runJobs(ctx, c, jobs, nil)
 	var out []sim.SMTRecord
-	for _, cells := range perMix {
-		out = append(out, cells...)
+	for _, a := range answers {
+		out = append(out, a.Cells...)
 	}
-	return out, errors.Join(errs...)
+	return out, err
 }
 
-func (c *Coordinator) runSMTMix(ctx context.Context, mix workload.Mix, cfg smt.Config) ([]sim.SMTRecord, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("dist: smt %s: %w", mix.Name, err)
-	}
-	// The job key is the mix's first policy cell's study key: any of the
-	// mix's cells pins the full configuration, and one stable choice keeps
-	// the mix's placement (and so its cache locality) consistent.
-	key, err := sim.StudyKey(sim.SMTStudy{Mix: mix, Policy: sim.SMTPolicies[0], Config: cfg})
-	if err != nil {
-		return nil, fmt.Errorf("dist: smt %s: %w", mix.Name, err)
-	}
-	var cells []sim.SMTRecord
-	err = c.runJob(ctx, key,
-		func(ctx context.Context, base string) error {
-			var resp smtResponse
-			req := smtRequest{Mixes: []string{mix.Name}, MaxCycles: cfg.MaxCycles}
-			if perr := c.postJSON(ctx, base, "/v1/study/smt", req, &resp); perr != nil {
-				return perr
-			}
-			if len(resp.Cells) != len(sim.SMTPolicies) {
-				return fmt.Errorf("answered %d cells for mix %s, want %d", len(resp.Cells), mix.Name, len(sim.SMTPolicies))
-			}
-			for _, cell := range resp.Cells {
-				if cell.Mix != mix.Name {
-					return fmt.Errorf("answered for mix %s, asked for %s", cell.Mix, mix.Name)
-				}
-			}
-			cells = resp.Cells
-			return nil
-		},
-		c.localSMT(mix, cfg, &cells))
-	if err != nil {
-		return nil, fmt.Errorf("dist: smt %s: %w", mix.Name, err)
-	}
-	return cells, nil
-}
-
-func (c *Coordinator) localSMT(mix workload.Mix, cfg smt.Config, out *[]sim.SMTRecord) func(context.Context) error {
-	if c.Local == nil {
-		return nil
-	}
-	return func(ctx context.Context) error {
-		g, err := c.Local.RunSMTGrid(ctx, []workload.Mix{mix}, sim.SMTPolicies, cfg)
-		if err != nil {
-			return fmt.Errorf("local: %w", err)
-		}
-		*out = g.Records()
-		return nil
-	}
-}
-
-// vpredRequest and vpredResponse mirror the server's /v1/study/vpred
-// bodies.
-type vpredRequest struct {
-	Benches      []string `json:"benches"`
-	Predictors   []string `json:"predictors"`
-	MaxInsts     int64    `json:"max_insts"`
-	DepThreshold int      `json:"dep_threshold"`
-}
-
-type vpredResponse struct {
-	Params sim.VPredParams   `json:"params"`
-	Cells  []sim.VPredRecord `json:"cells"`
-	Error  string            `json:"error,omitempty"`
-}
-
-// VPredGrid runs the value-prediction study distributed, one job per
-// (bench × predictor) pair (its all/selective cells share the bench's
-// trace). Per-pair answers concatenate in request order — exactly
-// sim.VPredGrid.Records' bench-major iteration.
-func (c *Coordinator) VPredGrid(ctx context.Context, benches, predictors []string, params sim.VPredParams) ([]sim.VPredRecord, error) {
-	type pair struct{ bench, pred string }
-	var pairs []pair
-	for _, b := range benches {
-		for _, p := range predictors {
-			pairs = append(pairs, pair{b, p})
-		}
-	}
-	perPair := make([][]sim.VPredRecord, len(pairs))
-	errs := make([]error, len(pairs))
-	c.pool(ctx, len(pairs), func(i int) {
-		perPair[i], errs[i] = c.runVPredPair(ctx, pairs[i].bench, pairs[i].pred, params)
-	})
-	var out []sim.VPredRecord
-	for _, cells := range perPair {
-		out = append(out, cells...)
-	}
-	return out, errors.Join(errs...)
-}
-
-func (c *Coordinator) runVPredPair(ctx context.Context, bench, pred string, params sim.VPredParams) ([]sim.VPredRecord, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("dist: vpred %s/%s: %w", bench, pred, err)
-	}
+// vpredJob is one (bench × predictor) pair: a one-pair POST
+// /v1/study/vpred (its all/selective cells share the bench's trace),
+// placed by the pair's all-instructions study key. The answer must carry
+// the asked-for parameters and both cells of the pair.
+func vpredJob(bench, pred string, params sim.VPredParams) job[VPredResponse] {
 	key, err := sim.StudyKey(sim.VPredStudy{Bench: bench, Predictor: pred, Selective: false, Params: params})
-	if err != nil {
-		return nil, fmt.Errorf("dist: vpred %s/%s: %w", bench, pred, err)
-	}
-	var cells []sim.VPredRecord
-	err = c.runJob(ctx, key,
-		func(ctx context.Context, base string) error {
-			var resp vpredResponse
-			req := vpredRequest{
-				Benches: []string{bench}, Predictors: []string{pred},
-				MaxInsts: params.MaxInsts, DepThreshold: params.DepThreshold,
+	return job[VPredResponse]{
+		name: "vpred " + bench + "/" + pred,
+		key:  key,
+		err:  err,
+		path: "/v1/study/vpred",
+		req: VPredRequest{
+			Benches: []string{bench}, Predictors: []string{pred},
+			MaxInsts: params.MaxInsts, DepThreshold: params.DepThreshold,
+		},
+		check: func(r VPredResponse) error {
+			if r.Params != params {
+				return fmt.Errorf("answered under params %+v, asked for %+v", r.Params, params)
 			}
-			if perr := c.postJSON(ctx, base, "/v1/study/vpred", req, &resp); perr != nil {
-				return perr
+			if len(r.Cells) != 2 {
+				return fmt.Errorf("answered %d cells for %s/%s, want 2", len(r.Cells), bench, pred)
 			}
-			if len(resp.Cells) != 2 {
-				return fmt.Errorf("answered %d cells for %s/%s, want 2", len(resp.Cells), bench, pred)
-			}
-			for _, cell := range resp.Cells {
+			for _, cell := range r.Cells {
 				if cell.Bench != bench || cell.Predictor != pred {
 					return fmt.Errorf("answered for %s/%s, asked for %s/%s", cell.Bench, cell.Predictor, bench, pred)
 				}
 			}
-			cells = resp.Cells
 			return nil
 		},
-		c.localVPred(bench, pred, params, &cells))
-	if err != nil {
-		return nil, fmt.Errorf("dist: vpred %s/%s: %w", bench, pred, err)
+		local: func(ctx context.Context, e *sim.Engine) (VPredResponse, error) {
+			g, err := e.RunVPredGrid(ctx, []string{bench}, []string{pred}, params)
+			return VPredResponse{Params: params, Cells: g.Records()}, err
+		},
 	}
-	return cells, nil
 }
 
-func (c *Coordinator) localVPred(bench, pred string, params sim.VPredParams, out *[]sim.VPredRecord) func(context.Context) error {
-	if c.Local == nil {
-		return nil
-	}
-	return func(ctx context.Context) error {
-		g, err := c.Local.RunVPredGrid(ctx, []string{bench}, []string{pred}, params)
-		if err != nil {
-			return fmt.Errorf("local: %w", err)
+// VPredGrid runs the value-prediction study distributed, one job per
+// (bench × predictor) pair. Per-pair answers concatenate in request
+// order — exactly sim.VPredGrid.Records' bench-major iteration.
+func (c *Coordinator) VPredGrid(ctx context.Context, benches, predictors []string, params sim.VPredParams) ([]sim.VPredRecord, error) {
+	var jobs []job[VPredResponse]
+	for _, b := range benches {
+		for _, p := range predictors {
+			jobs = append(jobs, vpredJob(b, p, params))
 		}
-		*out = g.Records()
-		return nil
 	}
+	answers, err := runJobs(ctx, c, jobs, nil)
+	var out []sim.VPredRecord
+	for _, a := range answers {
+		out = append(out, a.Cells...)
+	}
+	return out, err
 }

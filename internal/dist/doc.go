@@ -20,16 +20,27 @@
 //     POST /v1/run; an SMT mix is one POST /v1/study/smt with a single
 //     mix; a vpred (bench, predictor) pair is one POST /v1/study/vpred.
 //     Workers validate with the same internal/sim rules as always — the
-//     coordinator holds no privileged channel.
+//     coordinator holds no privileged channel. The request and response
+//     bodies are declared once (wire.go) and shared with the handlers in
+//     internal/server, so the two ends cannot drift apart.
+//
+// Every kind of job runs through one code path (job.run): place, POST,
+// check the answer, retry, fall back to local. A kind contributes only a
+// job constructor — its key, request, answer check and local
+// computation. The answer check compares the whole cell identity (the
+// full Spec; the SMT model config; the vpred parameters), so a worker
+// answering for any other cell — another budget, another ablation knob,
+// a build with other study defaults — is a failed attempt, not data.
 //
 // Failure handling is bounded and local: a failed or timed-out job is
 // retried on the next worker in its preference order with exponential
 // backoff, a worker that failed recently is deprioritised (never
 // excluded — a wrong health guess must cost latency, not correctness),
 // and when every worker attempt is spent the coordinator computes the
-// cell on its own engine. Per-job errors merge under the same
-// errors.Join partial-result contract the engine uses, so a distributed
-// sweep degrades exactly like a local one.
+// cell on its own engine. Jobs run on sim's bounded pool (sim.ForEach),
+// and per-job errors merge under the same errors.Join partial-result
+// contract the engine uses, so a distributed sweep degrades exactly like
+// a local one.
 //
 // Merging preserves the single-node byte-identity contract. Matrix
 // results are folded into a sim.Matrix and rendered through the same
@@ -41,5 +52,5 @@
 // See DESIGN.md's distributed execution section for the full contract,
 // including the cache-peer protocol (internal/storage.PeerKV) that lets
 // workers warm each other's caches, and the chunked-JSON streaming
-// format (stream.go) for incremental matrix results.
+// format (wire.go) for incremental matrix results.
 package dist

@@ -8,7 +8,62 @@ import (
 	"io"
 
 	"repro/internal/sim"
+	"repro/internal/smt"
 )
+
+// The worker API's bodies are declared once, here, and used by both ends:
+// internal/server's handlers decode the requests and encode the
+// responses, and the coordinator encodes the requests and decodes the
+// responses of the jobs it fans out, so the two cannot drift apart.
+
+// ErrorBody is the uniform error envelope of every non-200 response.
+type ErrorBody struct {
+	Error string `json:"error"`
+}
+
+// RunRequest is the POST /v1/run body. The coordinator sends the mode as
+// its report name (sim.ParseMode accepts both spellings), so the job a
+// worker validates is spelled exactly like the result it returns. The
+// response is a sim.Result — exactly `arvisim -json`'s payload.
+type RunRequest struct {
+	Bench         string `json:"bench"`
+	Depth         int    `json:"depth"`
+	Mode          string `json:"mode"`
+	MaxInsts      int64  `json:"max_insts"`
+	CutAtLoads    bool   `json:"cut_at_loads"`
+	ConfThreshold uint   `json:"conf_threshold"`
+}
+
+// SMTRequest is the POST /v1/study/smt body.
+type SMTRequest struct {
+	Mixes     []string `json:"mixes"`
+	MaxCycles int64    `json:"max_cycles"`
+}
+
+// SMTResponse answers an SMTRequest: the model configuration the cells
+// ran under, the completed cells, and the joined error of a partial
+// result.
+type SMTResponse struct {
+	Config smt.Config      `json:"config"`
+	Cells  []sim.SMTRecord `json:"cells"`
+	Error  string          `json:"error,omitempty"`
+}
+
+// VPredRequest is the POST /v1/study/vpred body.
+type VPredRequest struct {
+	Benches      []string `json:"benches"`
+	Predictors   []string `json:"predictors"`
+	MaxInsts     int64    `json:"max_insts"`
+	DepThreshold int      `json:"dep_threshold"`
+}
+
+// VPredResponse answers a VPredRequest: the parameters the cells ran
+// under, the completed cells, and the joined error of a partial result.
+type VPredResponse struct {
+	Params sim.VPredParams   `json:"params"`
+	Cells  []sim.VPredRecord `json:"cells"`
+	Error  string            `json:"error,omitempty"`
+}
 
 // The streaming matrix format (/v1/matrix?stream=1) is chunked JSON
 // lines: one compact JSON object per line, each carrying exactly one of

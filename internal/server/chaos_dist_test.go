@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -235,7 +236,7 @@ func TestChaosDistCoordinatorDeadline(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("stalled distributed sweep: status %d: %s", resp.StatusCode, body)
 	}
-	var e errorBody
+	var e dist.ErrorBody
 	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 		t.Fatalf("stalled sweep did not return a JSON error envelope: %s", body)
 	}

@@ -59,22 +59,17 @@ func (s *Server) streamMatrix(w http.ResponseWriter, r *http.Request, key string
 		}
 	}
 
-	specs := sim.MatrixSpecs(benches, depths, modes, maxInsts)
-	var results []sim.Result
-	var err error
+	// The coordinator and the engine take the same completion hook, so
+	// both roles stream through one call.
+	run := s.cfg.Engine.RunEach
 	if s.cfg.Coordinator != nil {
-		results, err = s.cfg.Coordinator.RunSpecs(ctx, specs, func(i int, res sim.Result, jobErr error) {
-			if jobErr == nil {
-				emit(dist.StreamLine{Result: &res})
-			}
-		})
-	} else {
-		results, err = s.cfg.Engine.RunEach(ctx, specs, func(i int, res sim.Result, simErr, cacheErr error) {
-			if simErr == nil {
-				emit(dist.StreamLine{Result: &res})
-			}
-		})
+		run = s.cfg.Coordinator.RunSpecs
 	}
+	results, err := run(ctx, sim.MatrixSpecs(benches, depths, modes, maxInsts), func(i int, res sim.Result, err error) {
+		if err == nil {
+			emit(dist.StreamLine{Result: &res})
+		}
+	})
 	emit(dist.StreamLine{Done: &dist.StreamTrailer{
 		MaxInsts: maxInsts, Cells: len(results), Error: errString(err, ""),
 	}})

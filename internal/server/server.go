@@ -246,13 +246,8 @@ func jsonResponse(status int, v any) *response {
 	return &response{status: status, contentType: "application/json", body: jsonBody(v)}
 }
 
-// errorBody is the uniform error envelope.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
 func errResponse(status int, msg string) *response {
-	return jsonResponse(status, errorBody{Error: msg})
+	return jsonResponse(status, dist.ErrorBody{Error: msg})
 }
 
 func writeResponse(w http.ResponseWriter, resp *response, shared bool) {
@@ -453,17 +448,8 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 
 // --- POST /v1/run ---------------------------------------------------------
 
-type runRequest struct {
-	Bench         string `json:"bench"`
-	Depth         int    `json:"depth"`
-	Mode          string `json:"mode"`
-	MaxInsts      int64  `json:"max_insts"`
-	CutAtLoads    bool   `json:"cut_at_loads"`
-	ConfThreshold uint   `json:"conf_threshold"`
-}
-
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	req := runRequest{Bench: "m88ksim", Depth: 20, Mode: "arvi-current"}
+	req := dist.RunRequest{Bench: "m88ksim", Depth: 20, Mode: "arvi-current"}
 	if err := decodeBody(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -614,19 +600,8 @@ func (s *Server) runMatrix(ctx context.Context, benches []string, depths []int, 
 
 // --- POST /v1/study/{smt,vpred} -------------------------------------------
 
-type smtRequest struct {
-	Mixes     []string `json:"mixes"`
-	MaxCycles int64    `json:"max_cycles"`
-}
-
-type smtResponse struct {
-	Config smt.Config      `json:"config"`
-	Cells  []sim.SMTRecord `json:"cells"`
-	Error  string          `json:"error,omitempty"`
-}
-
 func (s *Server) handleSMT(w http.ResponseWriter, r *http.Request) {
-	var req smtRequest
+	var req dist.SMTRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -680,7 +655,7 @@ func (s *Server) handleSMT(w http.ResponseWriter, r *http.Request) {
 			g, err = s.cfg.Engine.RunSMTGrid(ctx, mixes, sim.SMTPolicies, cfg)
 			cells = g.Records()
 		}
-		body := smtResponse{Config: cfg, Cells: cells, Error: errString(err, "")}
+		body := dist.SMTResponse{Config: cfg, Cells: cells, Error: errString(err, "")}
 		if body.Cells == nil {
 			body.Cells = []sim.SMTRecord{}
 		}
@@ -688,21 +663,8 @@ func (s *Server) handleSMT(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-type vpredRequest struct {
-	Benches      []string `json:"benches"`
-	Predictors   []string `json:"predictors"`
-	MaxInsts     int64    `json:"max_insts"`
-	DepThreshold int      `json:"dep_threshold"`
-}
-
-type vpredResponse struct {
-	Params sim.VPredParams   `json:"params"`
-	Cells  []sim.VPredRecord `json:"cells"`
-	Error  string            `json:"error,omitempty"`
-}
-
 func (s *Server) handleVPred(w http.ResponseWriter, r *http.Request) {
-	var req vpredRequest
+	var req dist.VPredRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -766,7 +728,7 @@ func (s *Server) handleVPred(w http.ResponseWriter, r *http.Request) {
 			g, err = s.cfg.Engine.RunVPredGrid(ctx, req.Benches, req.Predictors, params)
 			cells = g.Records()
 		}
-		body := vpredResponse{Params: params, Cells: cells, Error: errString(err, "")}
+		body := dist.VPredResponse{Params: params, Cells: cells, Error: errString(err, "")}
 		if body.Cells == nil {
 			body.Cells = []sim.VPredRecord{}
 		}

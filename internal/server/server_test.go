@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/sim"
 )
 
@@ -273,7 +274,7 @@ func TestValidationErrorsMatchCLI(t *testing.T) {
 			if resp.StatusCode != tc.wantStatus {
 				t.Fatalf("status %d, want %d (%s)", resp.StatusCode, tc.wantStatus, b)
 			}
-			var eb errorBody
+			var eb dist.ErrorBody
 			if err := json.Unmarshal(b, &eb); err != nil {
 				t.Fatalf("error body not JSON: %v (%s)", err, b)
 			}
@@ -354,7 +355,7 @@ func TestArtifactsCatalogHealth(t *testing.T) {
 		t.Fatalf("unknown artifact: %d %s", resp.StatusCode, b)
 	}
 	want := fmt.Sprintf("unknown artifact %q (valid: %v)", "fig7", artifactNames)
-	var eb errorBody
+	var eb dist.ErrorBody
 	if err := json.Unmarshal(b, &eb); err != nil || eb.Error != want {
 		t.Fatalf("unknown-artifact message %q, want %q", eb.Error, want)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,15 +20,20 @@ import (
 const cacheVersion = 1
 
 // Cache is a persistent, concurrency-safe store of simulation results,
-// one JSON file per cell under a directory. Entries are keyed by a
-// SHA-256 content hash of the Spec together with the fingerprint of the
-// full cpu.Config the spec derives, so any change to the simulated
-// machine — a new default, an ablation knob, a different instruction
-// budget — misses cleanly instead of serving stale statistics.
+// one JSON file per cell under a directory, in one self-describing entry
+// format for every kind of cell (see entry). A branch-prediction entry is
+// keyed by a SHA-256 content hash of the Spec together with the
+// fingerprint of the full cpu.Config the spec derives (CacheKey), a study
+// entry by a hash of its kind and identity (StudyKey), so any change to
+// the simulated machine — a new default, an ablation knob, a different
+// instruction budget — misses cleanly instead of serving stale
+// statistics.
 //
-// Corrupt or unreadable entries (truncated writes, hand-edited files,
-// format drift) are treated as misses and removed, so a damaged cache
-// heals itself on the next run.
+// Every entry, whatever its kind or source, passes one decode gate that
+// checks version, key, kind and payload checksum. Corrupt, unreadable or
+// mismatched entries (truncated writes, hand-edited files, format drift,
+// another kind's entry under the key) are treated as misses and removed,
+// so a damaged cache heals itself on the next run.
 //
 // Disk access goes through a storage.KV backend (storage.DirKV over a
 // storage.FS) behind a circuit breaker: after a run of consecutive disk
@@ -41,7 +47,7 @@ const cacheVersion = 1
 // worker cluster, the other daemons' caches reachable over the HTTP
 // cache-peer protocol. A local miss then asks the peers before
 // simulating, and a fetched entry is validated exactly like a local one
-// (envelope key, version, payload checksum) before it is trusted or
+// (envelope key, version, kind, payload checksum) before it is trusted or
 // replicated to local disk, so a malformed or corrupt peer response
 // degrades to a miss — it can never poison the cache. The protocol is
 // documented in DESIGN.md's distributed execution section.
@@ -157,20 +163,38 @@ func hashKey(id any) string {
 	return fmt.Sprintf("%x", sha256.Sum256(b))
 }
 
-// entry is the on-disk record. Spec and Key are stored redundantly so a
-// cache directory is self-describing (and auditable with jq), and so Get
-// can reject a file whose content does not match its name. Sum is a
-// checksum of the canonical stats encoding: the key only proves *which*
-// cell the file claims to be, the sum proves the payload was not bit-
-// corrupted in storage (entries predating the field fail the check and
-// self-heal like any other corruption).
+// bpredKind is the kind branch-prediction (Spec) entries are stored
+// under; studies use their own Study.Kind.
+const bpredKind = "bpred"
+
+// entry is the cache's one on-disk record, for every kind of cell. It is
+// self-describing — kind, key and the cell's full identity are stored
+// alongside the stats — so a cache directory can be audited with jq, and
+// the decode gate can reject a file whose content does not match its
+// name or its kind. Sum is a checksum of the canonical stats encoding:
+// the key only proves *which* cell the file claims to be, the sum proves
+// the payload was not bit-corrupted in storage.
+//
+// Identity is written for auditing only and never read back: the decode
+// gate skips it (see skipJSON). Entries from older builds follow from the
+// gate's checks: a branch-prediction entry without a kind fails the kind
+// check and self-heals with one recompute, and a study entry, whose
+// identity field was named "study", still decodes.
 type entry struct {
-	Version int       `json:"version"`
-	Key     string    `json:"key"`
-	Sum     string    `json:"sum"`
-	Spec    Spec      `json:"spec"`
-	Stats   cpu.Stats `json:"stats"`
+	Version  int    `json:"version"`
+	Key      string `json:"key"`
+	Sum      string `json:"sum"`
+	Kind     string `json:"kind"`
+	Identity any    `json:"identity"`
+	Stats    any    `json:"stats"`
 }
+
+// skipJSON discards the JSON value decoded into it without allocating,
+// so the decode gate reads an entry's stats in one pass and skips its
+// identity.
+type skipJSON struct{}
+
+func (*skipJSON) UnmarshalJSON([]byte) error { return nil }
 
 // statsSum checksums a stats payload by its canonical JSON encoding, so
 // the same check works at write time (over the value being stored) and at
@@ -252,62 +276,63 @@ func (c *Cache) discard(key string) {
 	}
 }
 
-// decodeEntry validates an entry's bytes against the key they claim to
-// answer: envelope shape, format version, self-described key, and the
-// payload checksum. It is the one gate every entry passes on its way to
-// a caller, whether the bytes came from local disk, the degraded
-// overlay, or a cache peer — which is why a malformed peer response can
-// never be served or replicated.
-func decodeEntry(key string, b []byte) (cpu.Stats, bool) {
-	var e entry
-	if err := json.Unmarshal(b, &e); err != nil || e.Version != cacheVersion || e.Key != key {
-		return cpu.Stats{}, false
-	}
+// decodeEntry validates an entry's bytes against the key and kind they
+// claim to answer — envelope shape, format version, self-described key
+// and kind, and the payload checksum — decoding the stats into out (a
+// pointer to the kind's stats type) in the same pass. It is the one gate
+// every entry passes on its way to a caller, whether the bytes came from
+// local disk, the degraded overlay, or a cache peer — which is why a
+// malformed peer response can never be served or replicated. A rejected
+// entry leaves out zeroed.
+func decodeEntry(key, kind string, b []byte, out any) bool {
+	e := entry{Identity: &skipJSON{}, Stats: out}
 	// A bit-corrupted read can survive JSON parsing (a flipped byte inside
-	// a number or a field name still decodes); the checksum catches it so
-	// the entry heals instead of serving wrong statistics.
-	if e.Sum != statsSum(e.Stats) {
-		return cpu.Stats{}, false
+	// a number or a field name still decodes); the checksum over the
+	// decoded value's canonical encoding catches it, so the entry heals
+	// instead of serving wrong statistics.
+	if json.Unmarshal(b, &e) == nil && e.Version == cacheVersion && e.Key == key && e.Kind == kind &&
+		e.Sum == statsSum(out) {
+		return true
 	}
-	return e.Stats, true
+	if v := reflect.ValueOf(out); v.Kind() == reflect.Pointer && !v.IsNil() {
+		v.Elem().SetZero()
+	}
+	return false
 }
 
-// Get returns the cached stats for spec, if present and intact — served
-// from the local tier first, then fetched (and validated, and replicated
-// locally) from the cache peers.
-func (c *Cache) Get(spec Spec) (cpu.Stats, bool) {
-	key := c.Key(spec)
+// get decodes the entry for key into out, reporting whether an intact
+// entry of the kind was present — served from the local tier first, then
+// fetched (and validated, and replicated locally) from the cache peers.
+// A corrupt or mismatched local entry is removed, so the cache heals.
+func (c *Cache) get(key, kind string, out any) bool {
 	if b, ok := c.load(key); ok {
-		if st, ok := decodeEntry(key, b); ok {
-			return st, true
+		if decodeEntry(key, kind, b, out) {
+			return true
 		}
 		c.discard(key)
 	}
-	if b, ok := c.fetchPeer(key); ok {
-		if st, ok := decodeEntry(key, b); ok {
-			// Replicate the validated bytes locally so the next hit is
-			// local; a store failure parks them in the overlay via the
-			// usual breaker path and is deliberately not surfaced here.
-			_ = c.store(key, b)
-			c.peerHits.Add(1)
-			return st, true
-		}
+	if b, ok := c.fetchPeer(key); ok && decodeEntry(key, kind, b, out) {
+		// Replicate the validated bytes locally so the next hit is local;
+		// a store failure parks them in the overlay via the usual breaker
+		// path and is deliberately not surfaced here.
+		_ = c.store(key, b)
+		c.peerHits.Add(1)
+		return true
 	}
-	return cpu.Stats{}, false
+	return false
 }
 
-// Put stores the stats for spec. The write is atomic (temp file + rename)
+// put stores one cell's entry. The write is atomic (temp file + rename)
 // so a crash mid-write leaves either the old entry or none — never a
-// torn file that a later Get would half-trust. While the circuit breaker
-// is open the entry lands in the memory overlay instead and Put reports
-// success: degraded mode trades durability for availability.
-func (c *Cache) Put(spec Spec, st cpu.Stats) error {
-	key := c.Key(spec)
+// torn file that a later read would half-trust. While the circuit
+// breaker is open the entry lands in the memory overlay instead and put
+// reports success: degraded mode trades durability for availability.
+func (c *Cache) put(key, kind string, identity, stats any) error {
 	b, err := json.MarshalIndent(entry{
-		Version: cacheVersion, Key: key, Sum: statsSum(st), Spec: spec, Stats: st,
+		Version: cacheVersion, Key: key, Sum: statsSum(stats), Kind: kind, Identity: identity, Stats: stats,
 	}, "", " ")
 	if err != nil {
-		return fmt.Errorf("sim: cache put: %w", err)
+		return fmt.Errorf("sim: cache put %s: %w", kind, err)
 	}
 	err = c.store(key, b)
 	// Fresh computes (and only those — peer-fetched entries came from the
@@ -316,6 +341,33 @@ func (c *Cache) Put(spec Spec, st cpu.Stats) error {
 	// exactly when the cluster copy matters most.
 	c.pushPeer(key, b)
 	return err
+}
+
+// Get returns the cached stats for spec, if present and intact.
+func (c *Cache) Get(spec Spec) (st cpu.Stats, ok bool) {
+	ok = c.get(c.Key(spec), bpredKind, &st)
+	return st, ok
+}
+
+// Put stores the stats for spec.
+func (c *Cache) Put(spec Spec, st cpu.Stats) error { return c.put(c.Key(spec), bpredKind, spec, st) }
+
+// GetStudy decodes the cached stats for the study into out (a pointer to
+// the study's stats type), reporting whether an intact entry was present.
+// The error return covers key computation only (a study whose identity
+// cannot be marshalled), never disk state.
+func (c *Cache) GetStudy(s Study, out any) (bool, error) {
+	key, _, err := studyKey(s)
+	return err == nil && c.get(key, s.Kind(), out), err
+}
+
+// PutStudy stores the study's stats.
+func (c *Cache) PutStudy(s Study, stats any) error {
+	key, id, err := studyKey(s)
+	if err != nil {
+		return err
+	}
+	return c.put(key, s.Kind(), json.RawMessage(id), stats)
 }
 
 // store lands an entry's bytes, routing around a broken disk:
@@ -398,97 +450,6 @@ func (c *Cache) writeAtomic(key string, b []byte) error {
 	return nil
 }
 
-// studyEntry is the on-disk record of a non-bpred study cell. Like entry
-// it is self-describing: the kind, key and the study's full identity are
-// stored alongside the stats so a cache directory can be audited with jq
-// and Get can reject a file whose content does not match its name.
-type studyEntry struct {
-	Version int             `json:"version"`
-	Key     string          `json:"key"`
-	Sum     string          `json:"sum"`
-	Kind    string          `json:"kind"`
-	Study   json.RawMessage `json:"study"`
-	Stats   json.RawMessage `json:"stats"`
-}
-
-// GetStudy decodes the cached stats for the study into out, reporting
-// whether an intact entry was present. Corrupt or mismatched entries are
-// removed and reported as misses, matching Get's self-healing contract.
-// The error return covers key computation only (a study whose identity
-// cannot be marshalled), never disk state.
-func (c *Cache) GetStudy(s Study, out any) (bool, error) {
-	key, _, err := studyKey(s)
-	if err != nil {
-		return false, err
-	}
-	return c.getStudy(key, s.Kind(), out), nil
-}
-
-// decodeStudyEntry is decodeEntry's study-record sibling: it validates a
-// study entry's bytes (envelope, version, key, kind, payload checksum)
-// and decodes the stats into out on success. Like decodeEntry it gates
-// every source of bytes — disk, overlay, and cache peers alike.
-func decodeStudyEntry(key, kind string, b []byte, out any) bool {
-	var e studyEntry
-	if err := json.Unmarshal(b, &e); err != nil ||
-		e.Version != cacheVersion || e.Key != key || e.Kind != kind {
-		return false
-	}
-	if err := json.Unmarshal(e.Stats, out); err != nil {
-		return false
-	}
-	// Checksum the decoded value's canonical encoding (not the raw field,
-	// whose whitespace the indented container reshapes): a bit-corrupted
-	// stat that still parses must heal, not be served.
-	return e.Sum == statsSum(out)
-}
-
-// getStudy is GetStudy with the key precomputed; like Get it falls back
-// to the validated peer tier on a local miss.
-func (c *Cache) getStudy(key, kind string, out any) bool {
-	if b, ok := c.load(key); ok {
-		if decodeStudyEntry(key, kind, b, out) {
-			return true
-		}
-		c.discard(key)
-	}
-	if b, ok := c.fetchPeer(key); ok {
-		if decodeStudyEntry(key, kind, b, out) {
-			_ = c.store(key, b) // replicate locally, best-effort (overlay on failure)
-			c.peerHits.Add(1)
-			return true
-		}
-	}
-	return false
-}
-
-// PutStudy stores the study's stats with the same atomic-write guarantee
-// as Put.
-func (c *Cache) PutStudy(s Study, stats any) error {
-	key, id, err := studyKey(s)
-	if err != nil {
-		return err
-	}
-	return c.putStudy(key, s.Kind(), id, stats)
-}
-
-// putStudy is PutStudy with the key and marshalled identity precomputed.
-func (c *Cache) putStudy(key, kind string, id []byte, stats any) error {
-	st, err := json.Marshal(stats)
-	if err != nil {
-		return fmt.Errorf("sim: cache put %s: %w", kind, err)
-	}
-	b, err := json.MarshalIndent(studyEntry{
-		Version: cacheVersion, Key: key, Sum: statsSum(stats), Kind: kind, Study: id, Stats: st,
-	}, "", " ")
-	if err != nil {
-		return fmt.Errorf("sim: cache put %s: %w", kind, err)
-	}
-	err = c.store(key, b)
-	c.pushPeer(key, b) // fresh study computes replicate like Put's
-	return err
-}
-
 // Raw returns the stored entry bytes for a key — overlay first, then the
 // local backend — without interpreting them. It is the read side of the
 // HTTP cache-peer protocol: the requester validates what it fetched, so
@@ -501,8 +462,8 @@ func (c *Cache) Raw(key string) ([]byte, bool) {
 // right before PutRaw will store it: the format version and the
 // self-described key. The payload checksum is deliberately not
 // re-verified here — it is computed over the *typed* canonical encoding,
-// which only the reader knows — so the read path (decodeEntry /
-// decodeStudyEntry) stays the final gate and a corrupt accepted entry
+// which only the reader knows — so the read path (decodeEntry) stays
+// the final gate and a corrupt accepted entry
 // heals there instead of being served.
 type rawEnvelope struct {
 	Version int    `json:"version"`

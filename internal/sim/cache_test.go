@@ -1,13 +1,17 @@
 package sim
 
 import (
+	"bytes"
 	"context"
-
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/smt"
+	"repro/internal/workload"
 )
 
 var cacheSpec = Spec{Bench: "compress", Depth: 20, Mode: cpu.PredARVICurrent, MaxInsts: 5000}
@@ -96,6 +100,111 @@ func TestCacheRejectsMismatchedContent(t *testing.T) {
 	}
 	if _, ok := c.Get(cacheSpec); ok {
 		t.Error("entry with mismatched key served as a hit")
+	}
+
+	// Cross-kind: a study entry's bytes under a spec's key, and a spec
+	// entry's bytes under a study's key, each relabelled with its slot's
+	// key so it passes the key check. Both must read as misses and heal.
+	study := SMTStudy{Mix: workload.MixByName("ijpeg+li"), Policy: smt.ICOUNT, Config: testSMTConfig()}
+	if _, err := RunStudies[SMTStudy, SMTStats](context.Background(), eng, []SMTStudy{study}); err != nil {
+		t.Fatal(err)
+	}
+	studyKey, err := StudyKey(study)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relabel := func(from, to string) {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(c.Dir(), from+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = bytes.Replace(b, []byte(from), []byte(to), 1)
+		if err := os.WriteFile(filepath.Join(c.Dir(), to+".json"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	relabel(studyKey, c.Key(cacheSpec))
+	if _, ok := c.Get(cacheSpec); ok {
+		t.Error("study entry served as a spec hit")
+	}
+	relabel(c.Key(other), studyKey)
+	var st SMTStats
+	if ok, err := c.GetStudy(study, &st); ok || err != nil {
+		t.Errorf("spec entry served as a study hit (ok=%v err=%v)", ok, err)
+	}
+	for _, key := range []string{c.Key(cacheSpec), studyKey} {
+		if _, err := os.Stat(filepath.Join(c.Dir(), key+".json")); !os.IsNotExist(err) {
+			t.Errorf("cross-kind entry %.16s... not removed", key)
+		}
+	}
+	simulated := eng.Simulated()
+	if _, err := eng.Run(context.Background(), []Spec{cacheSpec}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunStudies[SMTStudy, SMTStats](context.Background(), eng, []SMTStudy{study}); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Simulated() - simulated; got != 2 {
+		t.Errorf("healing simulated %d cells, want 2", got)
+	}
+	if _, ok := c.Get(cacheSpec); !ok {
+		t.Error("spec entry not repaired")
+	}
+	if ok, _ := c.GetStudy(study, &st); !ok {
+		t.Error("study entry not repaired")
+	}
+}
+
+// TestCacheEntryFormatMigration pins how entries written before the
+// single entry format meet it: a branch-prediction entry without a kind
+// fails the kind check and heals with one recompute, and a study entry,
+// whose identity field was named "study", still decodes.
+func TestCacheEntryFormatMigration(t *testing.T) {
+	c := openCache(t)
+	write := func(key string, v any) {
+		t.Helper()
+		b, err := json.MarshalIndent(v, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(c.Dir(), key+".json"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := c.Key(cacheSpec)
+	st := cpu.Stats{Insts: 5000, Cycles: 7001}
+	write(key, struct {
+		Version int       `json:"version"`
+		Key     string    `json:"key"`
+		Sum     string    `json:"sum"`
+		Spec    Spec      `json:"spec"`
+		Stats   cpu.Stats `json:"stats"`
+	}{cacheVersion, key, statsSum(st), cacheSpec, st})
+	if got, ok := c.Get(cacheSpec); ok || got != (cpu.Stats{}) {
+		t.Errorf("kindless bpred entry served: ok=%v %+v", ok, got)
+	}
+	if _, err := os.Stat(filepath.Join(c.Dir(), key+".json")); !os.IsNotExist(err) {
+		t.Error("kindless bpred entry not removed")
+	}
+
+	study := SMTStudy{Mix: workload.MixByName("ijpeg+li"), Policy: smt.ICOUNT, Config: testSMTConfig()}
+	skey, id, err := studyKey(study)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SMTStats{Cycles: 100, TotalInsts: 150, PerThread: []int64{100, 50}, PeakWindow: 7}
+	write(skey, struct {
+		Version int             `json:"version"`
+		Key     string          `json:"key"`
+		Sum     string          `json:"sum"`
+		Kind    string          `json:"kind"`
+		Study   json.RawMessage `json:"study"`
+		Stats   SMTStats        `json:"stats"`
+	}{cacheVersion, skey, statsSum(want), "smt", id, want})
+	var got SMTStats
+	if ok, err := c.GetStudy(study, &got); !ok || err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("study entry of the older format: ok=%v err=%v %+v, want %+v", ok, err, got, want)
 	}
 }
 
@@ -193,5 +302,31 @@ func TestCachePutFailureKeepsResult(t *testing.T) {
 func TestOpenCacheRejectsEmptyDir(t *testing.T) {
 	if _, err := OpenCache(""); err == nil {
 		t.Error("OpenCache(\"\") must fail")
+	}
+}
+
+// TestCacheKeyValuesPinned pins literal key values. Keys name cache files,
+// place cluster jobs (rendezvous over the key), coalesce requests and
+// address cache peers, so a refactor that silently moves every key would
+// cold-start every deployed cache and reshuffle cluster placement while
+// passing the relative key tests above.
+func TestCacheKeyValuesPinned(t *testing.T) {
+	spec := Spec{Bench: "gcc", Depth: 20, Mode: cpu.PredARVICurrent, MaxInsts: 250000}
+	smtKey, err := StudyKey(SMTStudy{Mix: workload.MixByName("ijpeg+li"), Policy: smt.ICOUNT, Config: smt.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vpKey, err := StudyKey(VPredStudy{Bench: "gcc", Predictor: "stride", Selective: true, Params: DefaultVPredParams(250000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, got, want string }{
+		{"CacheKey gcc/20/arvi-current/250000", CacheKey(spec, spec.Config()), "470e4214211763c826ddfcd512e63061f0c20596d76e06f218f7b490c51a6d6a"},
+		{"StudyKey smt ijpeg+li/ICOUNT", smtKey, "8d590458d695a735a34f2c7d4fd8f24885b58bfe1492d99429ed5713eea3a3f3"},
+		{"StudyKey vpred gcc/stride/selective", vpKey, "ee2126df2d048ed00bae89a92e017a3ca9af4a5d79a842e4e44cbdb241388a50"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, want %s", c.name, c.got, c.want)
+		}
 	}
 }

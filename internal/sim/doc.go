@@ -7,14 +7,18 @@
 // from the results.
 //
 // The package is organised around Engine, a cache-backed worker-pool
-// runner. An Engine bounds goroutine spawn to a fixed worker count, keeps
-// every completed result even when sibling runs fail (partial results plus
-// a joined error), and — when given a Cache — persists each cell's
-// statistics on disk keyed by a content hash of the cell's full identity,
-// so an interrupted or enlarged sweep only simulates the cells it has not
-// seen before. Branch-prediction cells are identified by Spec (whose
-// identity is the derived cpu.Config fingerprint); the other applications
-// implement the Study interface and run through RunStudies.
+// runner with one cell path for every application. Branch-prediction
+// cells (Spec, whose identity is the derived cpu.Config fingerprint) and
+// study cells (the Study interface) run through the same runner: look
+// the cell up, simulate on a miss, count, write back — on one bounded
+// pool (ForEach) that bounds goroutine spawn to a fixed worker count,
+// keeps every completed result even when sibling runs fail (partial
+// results plus a joined error), and — when given a Cache — persists each
+// cell's statistics in one self-describing entry format keyed by a
+// content hash of the cell's full identity, so an interrupted or enlarged
+// sweep only simulates the cells it has not seen before. A new study
+// therefore gets pooling, caching and the partial-result contract by
+// implementing Study.
 //
 // Main entry points:
 //
@@ -22,9 +26,11 @@
 //     branch-prediction cells and grids; Matrix holds a (possibly
 //     partial) grid and Fig5a/Fig5b/Fig6Accuracy/Fig6IPC/Table2/Table4
 //     render the paper's artifacts from it.
-//   - Study / RunStudies — the generic cache-keyed cell contract;
-//     Engine.RunSMTGrid and Engine.RunVPredGrid wire the two Section 3
+//   - Study / RunStudies — the cache-keyed cell contract of the Section 3
+//     studies; Engine.RunSMTGrid and Engine.RunVPredGrid wire the two
 //     studies through it.
+//   - ForEach — the bounded worker pool the engine and the dist
+//     coordinator share.
 //   - Engine.RunConfThresholdSweep / Engine.RunCutAtLoadsSweep — the
 //     ablation sweeps (DESIGN.md ablation A1 and the JRS threshold).
 //   - OpenCache / OpenTraceStore — the two persistence tiers (per-cell

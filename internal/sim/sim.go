@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cpu"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -129,104 +128,171 @@ func (e *Engine) Simulated() int64 { return e.simulated.Load() }
 // CacheHits reports how many cells were served from the cache.
 func (e *Engine) CacheHits() int64 { return e.cacheHits.Load() }
 
-// run executes one spec through the cache. A cache persistence failure is
+// cells adapts one batch of cells of one kind — branch-prediction specs
+// or studies — to the engine's runner. The runner owns the cycle every
+// cell shares (look up, simulate on a miss, count, write back); the
+// adapter only keys, simulates and names its kind of cell, and points the
+// runner at each cell's stats slot, so a hit decodes and a miss simulates
+// straight into the batch's result slice.
+type cells interface {
+	// key returns cell i's cache key and kind, and the identity its
+	// entry records.
+	key(i int) (key, kind string, identity any, err error)
+	// stats returns a pointer to cell i's stats slot.
+	stats(i int) any
+	// simulate computes cell i's stats into its slot.
+	simulate(ctx context.Context, e *Engine, i int) error
+	// name names cell i in errors.
+	name(i int) string
+}
+
+// runCells runs a batch of n cells on the engine's bounded pool and
+// returns each cell's simulation error (nil: the cell's slot holds its
+// result) plus the batch's joined error, which also carries write-back
+// failures of results that were kept. done (when non-nil) fires as each
+// cell settles, from the worker goroutine that ran it.
+func (e *Engine) runCells(ctx context.Context, n int, c cells, done func(i int, err error)) ([]error, error) {
+	errs := make([]error, 2*n) // simulation errors, then write-back errors
+	ForEach(ctx, e.Workers, n, func(i int) {
+		errs[i], errs[n+i] = e.runCell(ctx, c, i)
+		if done != nil {
+			done(i, errs[i])
+		}
+	})
+	return errs[:n], errors.Join(errs...)
+}
+
+// runCell runs one cell through the cache. A cache persistence failure is
 // reported separately from a simulation failure: the simulated result is
 // still valid and must not be discarded just because it could not be
-// written back. Cancellation is checked here, between specs, and again at
+// written back. Cancellation is checked here, between cells, and again at
 // trace-replay chunk boundaries inside the engine — never inside the
 // per-instruction hot loop.
-func (e *Engine) run(ctx context.Context, spec Spec) (res Result, simErr, cacheErr error) {
+func (e *Engine) runCell(ctx context.Context, c cells, i int) (simErr, cacheErr error) {
 	if err := ctx.Err(); err != nil {
-		return Result{}, fmt.Errorf("sim: %s: %w", spec, err), nil
+		return fmt.Errorf("sim: %s: %w", c.name(i), err), nil
 	}
+	var key, kind string
+	var id any
 	if e.Cache != nil {
-		if st, ok := e.Cache.Get(spec); ok {
+		var err error
+		if key, kind, id, err = c.key(i); err != nil {
+			return err, nil
+		}
+		if e.Cache.get(key, kind, c.stats(i)) {
 			e.cacheHits.Add(1)
-			return Result{Spec: spec, Stats: st}, nil, nil
+			return nil, nil
 		}
 	}
-	res, simErr = e.simulate(ctx, spec)
-	if simErr != nil {
-		return Result{}, simErr, nil
+	if err := c.simulate(ctx, e, i); err != nil {
+		return fmt.Errorf("sim: %s: %w", c.name(i), err), nil
 	}
 	e.simulated.Add(1)
 	if e.Cache != nil {
-		if err := e.Cache.Put(spec, res.Stats); err != nil {
-			cacheErr = fmt.Errorf("sim: cache %s (result kept): %w", spec, err)
+		if err := e.Cache.put(key, kind, id, c.stats(i)); err != nil {
+			return nil, fmt.Errorf("sim: cache %s (result kept): %w", c.name(i), err)
 		}
 	}
-	return res, nil, cacheErr
+	return nil, nil
 }
+
+// completed compacts results in place to the cells that did not fail,
+// keeping their order.
+func completed[T any](results []T, errs []error) []T {
+	out := results[:0]
+	for i := range results {
+		if errs[i] == nil {
+			out = append(out, results[i])
+		}
+	}
+	return out
+}
+
+// ForEach runs job(0) … job(n-1) on min(limit, n) goroutines (limit <= 0
+// means GOMAXPROCS), each taking the next index until none remain, and
+// returns when every job has finished. It is the stack's one worker pool:
+// the engine runs every cell kind on it bounded by Engine.Workers, so
+// -workers bounds the whole process's simulation concurrency, and the dist
+// coordinator runs its jobs on it. A pool goroutine serves many jobs, so a
+// batch pays goroutine start-up and stack growth once per goroutine, not
+// once per job.
+//
+// Jobs check ctx themselves: each still executes once ctx is canceled (it
+// must record its ctx error so the caller's per-job error slots are
+// filled), but takes its fast cancellation path. A batch that starts
+// canceled runs inline and spawns nothing. ForEach never returns with a
+// spawned goroutine still live — cancellation can never leak workers.
+func ForEach(ctx context.Context, limit, n int, job func(i int)) {
+	if limit <= 0 {
+		limit = runtime.GOMAXPROCS(0)
+	}
+	if ctx.Err() != nil {
+		for i := 0; i < n; i++ {
+			job(i) // fast-fail path: records the cancellation error
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(limit, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				job(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// specCells adapts a batch of specs to the runner.
+type specCells struct {
+	results []Result
+}
+
+func (c *specCells) key(i int) (string, string, any, error) {
+	s := &c.results[i].Spec
+	return CacheKey(*s, s.Config()), bpredKind, s, nil
+}
+
+func (c *specCells) stats(i int) any { return &c.results[i].Stats }
+
+func (c *specCells) simulate(ctx context.Context, e *Engine, i int) (err error) {
+	r := &c.results[i]
+	r.Stats, err = e.simulate(ctx, r.Spec)
+	return err
+}
+
+func (c *specCells) name(i int) string { return c.results[i].Spec.String() }
 
 // simulate executes one spec on a pooled engine, through the trace store
 // when the engine has one: the store yields the benchmark's shared decoded
 // trace (recording it on first request) and only the timing model runs per
 // spec.
-func (e *Engine) simulate(ctx context.Context, spec Spec) (Result, error) {
+func (e *Engine) simulate(ctx context.Context, spec Spec) (cpu.Stats, error) {
 	b, ok := workload.Lookup(spec.Bench)
 	if !ok {
-		return Result{}, fmt.Errorf("sim: %s: unknown benchmark %q", spec, spec.Bench)
+		return cpu.Stats{}, fmt.Errorf("unknown benchmark %q", spec.Bench)
 	}
 	cfg := spec.Config()
 	eng, pool, err := e.engineFor(cfg)
 	if err != nil {
-		return Result{}, fmt.Errorf("sim: %s: %w", spec, err)
+		return cpu.Stats{}, err
 	}
 	// Return the engine on every path, including failures: engineFor
 	// resets on reuse, so a dirty engine is safe to pool.
 	defer pool.Put(eng)
-	var st cpu.Stats
 	if e.Traces == nil {
-		st, err = eng.RunContext(ctx, b.Prog)
-	} else {
-		var dec *trace.Decoded
-		dec, err = e.Traces.Get(ctx, b.Prog, cfg.MaxInsts)
-		if err != nil {
-			return Result{}, fmt.Errorf("sim: %s: %w", spec, err)
-		}
-		// Replay against the trace's own program instance so the cursor's
-		// decoded instructions and the engine's wrong-path text agree.
-		st, err = eng.RunSourceContext(ctx, dec.Prog(), dec.Cursor())
+		return eng.RunContext(ctx, b.Prog)
 	}
+	dec, err := e.Traces.Get(ctx, b.Prog, cfg.MaxInsts)
 	if err != nil {
-		return Result{}, fmt.Errorf("sim: %s: %w", spec, err)
+		return cpu.Stats{}, err
 	}
-	return Result{Spec: spec, Stats: st}, nil
-}
-
-// pool executes n independent jobs on the engine's bounded worker pool.
-// A worker slot is acquired *before* each goroutine is spawned, so a batch
-// of N jobs with W workers never holds more than W live goroutines. Every
-// study family (branch prediction, SMT, value prediction) funnels through
-// this one pool, so -workers bounds the whole process's concurrency.
-//
-// Once ctx is canceled the remaining jobs run inline instead of being
-// spawned: each job still executes (it must record its ctx error so the
-// caller's per-spec error slots are filled), but it takes the fast
-// cancellation path and no new goroutines are created. pool always
-// returns with every spawned goroutine finished — cancellation can never
-// leak workers.
-func (e *Engine) pool(ctx context.Context, n int, job func(i int)) {
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			job(i) // fast-fail path: records the cancellation error
-			continue
-		}
-		sem <- struct{}{} // bound spawn, not just execution
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			job(i)
-		}(i)
-	}
-	wg.Wait()
+	// Replay against the trace's own program instance so the cursor's
+	// decoded instructions and the engine's wrong-path text agree.
+	return eng.RunSourceContext(ctx, dec.Prog(), dec.Cursor())
 }
 
 // Run executes the given specs on the worker pool and returns the results
@@ -243,30 +309,32 @@ func (e *Engine) Run(ctx context.Context, specs []Spec) ([]Result, error) {
 	return e.RunEach(ctx, specs, nil)
 }
 
-// RunEach is Run with a completion hook: done (when non-nil) is invoked
-// once per spec as that spec settles, from the worker goroutine that ran
-// it, so callers can stream incremental cell results while the sweep is
-// still in flight. done receives the spec's index alongside the outcome;
-// a spec that failed reports its simErr and a zero Result. done must be
+// RunEach is Run with a completion hook, the same one dist's
+// Coordinator.RunSpecs takes: done (when non-nil) is invoked once per spec
+// as that spec settles, from the worker goroutine that ran it, so callers
+// can stream incremental cell results while the sweep is still in flight.
+// done receives the spec's index and either its result or its failure (a
+// failed spec reports a zero Result); a cache write-back failure does not
+// fail the spec — it is only joined into the returned error. done must be
 // safe for concurrent use. The returned slice and joined error follow
 // Run's partial-result contract exactly.
-func (e *Engine) RunEach(ctx context.Context, specs []Spec, done func(i int, r Result, simErr, cacheErr error)) ([]Result, error) {
-	results := make([]Result, len(specs))
-	simErrs := make([]error, len(specs))
-	cacheErrs := make([]error, len(specs))
-	e.pool(ctx, len(specs), func(i int) {
-		results[i], simErrs[i], cacheErrs[i] = e.run(ctx, specs[i])
-		if done != nil {
-			done(i, results[i], simErrs[i], cacheErrs[i])
-		}
-	})
-	finished := results[:0]
-	for i := range results {
-		if simErrs[i] == nil {
-			finished = append(finished, results[i])
+func (e *Engine) RunEach(ctx context.Context, specs []Spec, done func(i int, r Result, err error)) ([]Result, error) {
+	c := &specCells{results: make([]Result, len(specs))}
+	for i, s := range specs {
+		c.results[i].Spec = s
+	}
+	var settled func(i int, err error)
+	if done != nil {
+		settled = func(i int, err error) {
+			if err != nil {
+				done(i, Result{}, err)
+			} else {
+				done(i, c.results[i], nil)
+			}
 		}
 	}
-	return finished, errors.Join(append(simErrs, cacheErrs...)...)
+	errs, err := e.runCells(ctx, len(specs), c, settled)
+	return completed(c.results, errs), err
 }
 
 // MatrixSpecs enumerates the (bench × depth × mode) grid in the canonical

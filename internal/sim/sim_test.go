@@ -2,9 +2,11 @@ package sim
 
 import (
 	"context"
-
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cpu"
 	"repro/internal/workload"
@@ -247,6 +249,48 @@ func TestRunBoundsGoroutineSpawn(t *testing.T) {
 	}
 	if len(res) != len(specs) || eng.Simulated() != int64(len(specs)) {
 		t.Errorf("results = %d, simulated = %d", len(res), eng.Simulated())
+	}
+}
+
+// TestForEachBoundsConcurrency pins the pool's contract: every index runs
+// exactly once with never more than limit jobs live at a time, and a batch
+// that starts canceled runs every job on the caller without spawning.
+func TestForEachBoundsConcurrency(t *testing.T) {
+	const n, limit = 40, 3
+	var ran [n]atomic.Int32
+	var live, peak atomic.Int32
+	ForEach(context.Background(), limit, n, func(i int) {
+		cur := live.Add(1)
+		for p := peak.Load(); cur > p; p = peak.Load() {
+			if peak.CompareAndSwap(p, cur) {
+				break
+			}
+		}
+		time.Sleep(time.Millisecond) // give a broken bound the chance to show
+		ran[i].Add(1)
+		live.Add(-1)
+	})
+	for i := range ran {
+		if got := ran[i].Load(); got != 1 {
+			t.Errorf("job %d ran %d times", i, got)
+		}
+	}
+	if p := peak.Load(); p > limit {
+		t.Errorf("%d jobs live at once, limit %d", p, limit)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := runtime.NumGoroutine()
+	var canceled atomic.Int32
+	ForEach(ctx, limit, n, func(int) {
+		canceled.Add(1)
+		if g := runtime.NumGoroutine(); g > before {
+			t.Errorf("canceled batch spawned goroutines: %d -> %d", before, g)
+		}
+	})
+	if canceled.Load() != n {
+		t.Errorf("canceled batch ran %d of %d jobs", canceled.Load(), n)
 	}
 }
 

@@ -3,16 +3,16 @@ package sim
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 )
 
 // Study is one cache-keyable experiment cell of any of the paper's
-// applications. The branch-prediction Spec predates this interface and
-// keeps its dedicated path (it additionally threads through the trace
-// store); the SMT fetch-policy and selective value-prediction studies run
-// through RunStudies, sharing the Engine's worker pool, result cache, and
-// partial-result contract.
+// Section 3 applications: the SMT fetch-policy and selective
+// value-prediction studies run through RunStudies on the same cell runner
+// as the branch-prediction Spec (Engine.Run) — one worker pool, one cache
+// entry format, one partial-result contract. Spec is not itself a Study
+// only because it additionally threads through the engine's trace store
+// and pooled cpu.Engines, which Simulate's signature cannot reach.
 //
 // A Study is a pure value: two studies with equal identities must simulate
 // to equal stats (the determinism contract the cache relies on).
@@ -40,75 +40,58 @@ type StudyResult[S Study, R any] struct {
 }
 
 // RunStudies executes the studies on the engine's worker pool with the
-// same partial-result contract as Engine.Run: every study that completed
-// is returned, in study order, and per-study failures are joined with
-// errors.Join. When the engine has a cache, a study whose entry is present
-// decodes it instead of simulating, and every fresh result is persisted; a
-// persistence failure joins the error but never discards the computed
-// result. R is the concrete stats type the studies' Simulate returns.
+// same runner, cache and partial-result contract as Engine.Run: every
+// study that completed is returned, in study order, and per-study
+// failures are joined with errors.Join. When the engine has a cache, a
+// study whose entry is present decodes it instead of simulating, and
+// every fresh result is persisted; a persistence failure joins the error
+// but never discards the computed result. R is the concrete stats type
+// the studies' Simulate returns.
 //
 // Cancellation is checked between studies, not inside Study.Simulate:
 // study cells are short (a handful of bounded engine runs), so keeping
 // the interface context-free costs at most one cell of latency while
 // sparing every implementation the plumbing.
 func RunStudies[S Study, R any](ctx context.Context, e *Engine, studies []S) ([]StudyResult[S, R], error) {
-	results := make([]StudyResult[S, R], len(studies))
-	simErrs := make([]error, len(studies))
-	cacheErrs := make([]error, len(studies))
-	e.pool(ctx, len(studies), func(i int) {
-		results[i].Study = studies[i]
-		results[i].Stats, simErrs[i], cacheErrs[i] = runStudy[R](ctx, e, studies[i])
-	})
-	done := results[:0]
-	for i := range results {
-		if simErrs[i] == nil {
-			done = append(done, results[i])
-		}
+	c := &studyCells[S, R]{results: make([]StudyResult[S, R], len(studies))}
+	for i, s := range studies {
+		c.results[i].Study = s
 	}
-	return done, errors.Join(append(simErrs, cacheErrs...)...)
+	errs, err := e.runCells(ctx, len(studies), c, nil)
+	return completed(c.results, errs), err
 }
 
-// runStudy executes one study through the cache. Mirrors Engine.run: a
-// cache persistence failure is reported separately because the simulated
-// result is still valid. The study's identity is marshalled and hashed
-// exactly once per cell; the lookup and the write-back reuse it.
-func runStudy[R any](ctx context.Context, e *Engine, s Study) (stats R, simErr, cacheErr error) {
-	if err := ctx.Err(); err != nil {
-		simErr = fmt.Errorf("sim: %s %s: %w", s.Kind(), s, err)
-		return
-	}
-	var key string
-	var id []byte
-	if e.Cache != nil {
-		var err error
-		key, id, err = studyKey(s)
-		if err != nil {
-			simErr = err
-			return
-		}
-		if e.Cache.getStudy(key, s.Kind(), &stats) {
-			e.cacheHits.Add(1)
-			return
-		}
-	}
-	v, err := s.Simulate()
+// studyCells adapts a batch of studies to the runner. The study's
+// identity is marshalled and hashed once per cell; the lookup and the
+// write-back share it.
+type studyCells[S Study, R any] struct {
+	results []StudyResult[S, R]
+}
+
+func (c *studyCells[S, R]) key(i int) (string, string, any, error) {
+	s := c.results[i].Study
+	key, id, err := studyKey(s)
+	return key, s.Kind(), json.RawMessage(id), err
+}
+
+func (c *studyCells[S, R]) stats(i int) any { return &c.results[i].Stats }
+
+func (c *studyCells[S, R]) simulate(_ context.Context, _ *Engine, i int) error {
+	v, err := c.results[i].Study.Simulate()
 	if err != nil {
-		simErr = fmt.Errorf("sim: %s %s: %w", s.Kind(), s, err)
-		return
+		return err
 	}
 	r, ok := v.(R)
 	if !ok {
-		simErr = fmt.Errorf("sim: %s %s: Simulate returned %T, runner expects %T", s.Kind(), s, v, stats)
-		return
+		return fmt.Errorf("stats type mismatch: Simulate returned %T, runner expects %T", v, r)
 	}
-	stats = r
-	e.simulated.Add(1)
-	if e.Cache != nil {
-		if err := e.Cache.putStudy(key, s.Kind(), id, stats); err != nil {
-			cacheErr = fmt.Errorf("sim: cache %s %s (result kept): %w", s.Kind(), s, err)
-		}
-	}
-	return stats, nil, cacheErr
+	c.results[i].Stats = r
+	return nil
+}
+
+func (c *studyCells[S, R]) name(i int) string {
+	s := c.results[i].Study
+	return s.Kind() + " " + s.String()
 }
 
 // studyKey computes a study's cache key and returns the marshalled

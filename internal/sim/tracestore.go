@@ -39,14 +39,15 @@ const DefaultTraceMemBudget = 256 << 20
 //     (atomically, checksummed, self-healing on corruption) and later
 //     runs — or other processes — reload them instead of re-executing
 //     the VM.
-//   - Disk access goes through a storage.FS behind a circuit breaker:
-//     after consecutive disk faults the store stops touching the disk and
-//     serves recordings memory-only, probing on later persists until the
-//     disk recovers. Degraded mode affects durability only — the trace
-//     bytes served are identical either way.
+//   - Disk access goes through a storage.DirKV (the result cache's disk
+//     backend, here with .trc files) over a storage.FS, behind a circuit
+//     breaker: after consecutive disk faults the store stops touching the
+//     disk and serves recordings memory-only, probing on later persists
+//     until the disk recovers. Degraded mode affects durability only —
+//     the trace bytes served are identical either way.
 type TraceStore struct {
-	dir       string // "" = memory-only
-	fs        storage.FS
+	dir       string         // "" = memory-only
+	disk      *storage.DirKV // nil for a memory-only store
 	brk       *storage.Breaker
 	memBudget int64
 
@@ -101,14 +102,16 @@ func OpenTraceStoreFS(dir string, memBudget int64, fsys storage.FS, brk *storage
 	if brk == nil {
 		brk = storage.NewBreaker(0, 0)
 	}
+	var disk *storage.DirKV
 	if dir != "" {
 		if err := fsys.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("sim: open trace store: %w", err)
 		}
+		disk = &storage.DirKV{Dir: dir, FS: fsys, Ext: ".trc"}
 	}
 	return &TraceStore{
 		dir:       dir,
-		fs:        fsys,
+		disk:      disk,
 		brk:       brk,
 		memBudget: memBudget,
 		entries:   make(map[traceKey]*traceEntry),
@@ -161,7 +164,15 @@ func (s *TraceStore) MemUsed() int64 {
 //
 //arvi:det
 func (s *TraceStore) Path(p *prog.Program, budget int64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s-%d.trc", p.FingerprintHex(), budget))
+	return filepath.Join(s.dir, diskKey(p, budget)+".trc")
+}
+
+// diskKey names a program/budget pair's trace file in the store's
+// directory (without the .trc extension the DirKV appends).
+//
+//arvi:det
+func diskKey(p *prog.Program, budget int64) string {
+	return fmt.Sprintf("%s-%d", p.FingerprintHex(), budget)
 }
 
 // Get returns the decoded correct-path trace of p at the given instruction
@@ -220,9 +231,9 @@ func (s *TraceStore) Get(ctx context.Context, p *prog.Program, budget int64) (*t
 // Disk is skipped entirely while the circuit breaker is open, except for
 // one persist probe per probation window.
 func (s *TraceStore) acquire(p *prog.Program, budget int64) (*trace.Decoded, error) {
-	path := s.Path(p, budget)
-	if s.dir != "" && !s.brk.Open() {
-		if b, err := s.fs.ReadFile(path); err == nil {
+	key := diskKey(p, budget)
+	if s.disk != nil && !s.brk.Open() {
+		if b, err := s.disk.Get(key); err == nil {
 			if payload, ok := checkSummed(b); ok {
 				dec, derr := trace.Decode(p, bytes.NewReader(payload))
 				if derr == nil {
@@ -235,7 +246,7 @@ func (s *TraceStore) acquire(p *prog.Program, budget int64) (*trace.Decoded, err
 			// (event payloads carry no per-record redundancy), which is why
 			// store files are checksummed: remove it and fall through to a
 			// fresh recording (self-heal, like the result cache).
-			_ = s.fs.Remove(path)
+			_ = s.disk.Delete(key)
 		} else if !storage.IsNotExist(err) {
 			s.brk.Failure() // a disk fault, not an ordinary miss
 		}
@@ -243,15 +254,16 @@ func (s *TraceStore) acquire(p *prog.Program, budget int64) (*trace.Decoded, err
 	s.recorded.Add(1)
 	dec, err := trace.RecordAll(p, budget)
 	if err != nil {
-		// No "sim:" prefix: Engine.simulate wraps this with the full spec.
+		// No "sim:" prefix: the engine's cell runner wraps this with the
+		// full spec.
 		return nil, fmt.Errorf("recording trace of %q: %w", p.Name, err)
 	}
-	if s.dir != "" {
+	if s.disk != nil {
 		if s.brk.Open() && !s.brk.Allow() {
 			// Degraded and no probe due: serve from memory, skip the disk.
 			return dec, nil
 		}
-		if err := s.persist(dec, path); err != nil {
+		if err := s.persist(dec, key); err != nil {
 			s.persistErrs.Add(1) // non-fatal: the trace serves from memory
 			s.brk.Failure()
 		} else {
@@ -278,13 +290,10 @@ func checkSummed(b []byte) ([]byte, bool) {
 	return b[sha256.Size:], true
 }
 
-// persist writes the checksummed trace atomically (temp file + rename),
-// so a crash leaves either a complete file or none. The temp name is
-// derived from the target path: trace files are content-addressed, so
-// concurrent writers of the same path write identical bytes. On any
-// failure the temp file is removed — an injected rename fault must not
-// leave *.tmp orphans in the trace directory.
-func (s *TraceStore) persist(dec *trace.Decoded, path string) error {
+// persist writes the checksummed trace through the store's DirKV, whose
+// atomic temp-file + rename write leaves either a complete file or none,
+// and no *.tmp orphan on failure.
+func (s *TraceStore) persist(dec *trace.Decoded, key string) error {
 	var buf bytes.Buffer
 	buf.Write(make([]byte, sha256.Size)) // checksum slot, filled below
 	if _, err := dec.WriteTo(&buf); err != nil {
@@ -293,16 +302,7 @@ func (s *TraceStore) persist(dec *trace.Decoded, path string) error {
 	b := buf.Bytes()
 	sum := sha256.Sum256(b[sha256.Size:])
 	copy(b, sum[:])
-	tmp := path + ".tmp"
-	if err := s.fs.WriteFile(tmp, b, 0o644); err != nil {
-		_ = s.fs.Remove(tmp) // a half-written (ENOSPC) temp must not linger
-		return err
-	}
-	if err := s.fs.Rename(tmp, path); err != nil {
-		_ = s.fs.Remove(tmp)
-		return err
-	}
-	return nil
+	return s.disk.Put(key, b)
 }
 
 // evictLocked drops least-recently-used completed traces until the

@@ -68,9 +68,9 @@ func TestTraceStoreMatchesLiveSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: traced: %v", name, err)
 		}
-		if live.Stats != traced.Stats {
+		if live.Stats != traced {
 			t.Errorf("%s: replayed stats diverged from live:\nlive   %+v\nreplay %+v",
-				name, live.Stats, traced.Stats)
+				name, live.Stats, traced)
 		}
 	}
 	if got := store.Recorded(); got != int64(len(workload.Names)) {
