@@ -40,7 +40,7 @@ func fakeWorker(t *testing.T, mutate func(*sim.Spec), mutateSMT func(*smt.Config
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			t.Error(err)
 		}
-		resp := SMTResponse{Config: smt.DefaultConfig()}
+		resp := sim.SMTGrid{Config: smt.DefaultConfig()}
 		resp.Config.MaxCycles = req.MaxCycles
 		mutateSMT(&resp.Config)
 		for _, p := range sim.SMTPolicies {
@@ -81,11 +81,11 @@ func TestAnswersForAnotherCellFallBackToLocal(t *testing.T) {
 		return st.Insts, nil
 	}
 	runSMT := func(ctx context.Context, c *Coordinator) (int64, error) {
-		cells, err := c.SMTGrid(ctx, []workload.Mix{mix}, smtCfg)
-		if err != nil || len(cells) != len(sim.SMTPolicies) {
-			t.Fatalf("smt: %d cells, err %v", len(cells), err)
+		g, err := c.SMTGrid(ctx, []workload.Mix{mix}, smtCfg)
+		if err != nil || len(g.Cells) != len(sim.SMTPolicies) {
+			t.Fatalf("smt: %d cells, err %v", len(g.Cells), err)
 		}
-		return cells[0].Cycles, nil
+		return g.Cells[0].Cycles, nil
 	}
 	for _, tc := range []struct {
 		name      string

@@ -37,6 +37,9 @@ const (
 	// read; a confused worker must not balloon coordinator memory. Study
 	// responses carry a full grid slice, so the cap is generous.
 	maxResponse = 8 << 20
+	// inflightPerProc bounds a coordinator's concurrently dispatched jobs
+	// (and its goroutines: jobs run on sim.ForEach) per GOMAXPROCS.
+	inflightPerProc = 4
 )
 
 // Coordinator fans per-cell jobs out to worker arvid daemons and merges
@@ -72,10 +75,6 @@ type Coordinator struct {
 	// worker's 429 guard and burn retries. <= 0 means GOMAXPROCS (half
 	// the worker default, leaving room for the worker's other clients).
 	PerWorker int
-	// MaxInflight bounds this coordinator's total concurrently dispatched
-	// jobs (and its goroutines: jobs run on sim.ForEach). <= 0 means
-	// 4×GOMAXPROCS.
-	MaxInflight int
 
 	// now is a test seam for health bookkeeping; nil means time.Now.
 	now func() time.Time
@@ -410,19 +409,15 @@ func (j job[A]) run(ctx context.Context, c *Coordinator) (A, error) {
 	return answer, nil
 }
 
-// runJobs runs the jobs on sim's bounded pool (at most MaxInflight at a
-// time) and returns the answers of every job that completed, in job
-// order, with the per-job errors joined — the engine's partial-result
-// contract. done (when non-nil) fires per job as it settles; a failed job
-// reports its error and a zero answer.
+// runJobs runs the jobs on sim's bounded pool (at most inflightPerProc ×
+// GOMAXPROCS at a time) and returns the answers of every job that
+// completed, in job order, with the per-job errors joined — the engine's
+// partial-result contract. done (when non-nil) fires per job as it
+// settles; a failed job reports its error and a zero answer.
 func runJobs[A any](ctx context.Context, c *Coordinator, jobs []job[A], done func(i int, a A, err error)) ([]A, error) {
-	inflight := c.MaxInflight
-	if inflight <= 0 {
-		inflight = 4 * runtime.GOMAXPROCS(0)
-	}
 	answers := make([]A, len(jobs))
 	errs := make([]error, len(jobs))
-	sim.ForEach(ctx, inflight, len(jobs), func(i int) {
+	sim.ForEach(ctx, inflightPerProc*runtime.GOMAXPROCS(0), len(jobs), func(i int) {
 		answers[i], errs[i] = jobs[i].run(ctx, c)
 		if done != nil {
 			done(i, answers[i], errs[i])
@@ -518,7 +513,7 @@ func (c *Coordinator) RunSpecs(ctx context.Context, specs []sim.Spec, done func(
 
 // Matrix runs the (bench × depth × mode) grid distributed and folds the
 // answers into a sim.Matrix. Rendering the returned matrix through the
-// same Records path as a local run is what makes distributed output
+// same Export path as a local run is what makes distributed output
 // byte-identical to single-node output: cell identity (the cache key)
 // and iteration order are shared, only the executor differs.
 func (c *Coordinator) Matrix(ctx context.Context, benches []string, depths []int, modes []cpu.PredMode, maxInsts int64) (*sim.Matrix, error) {
@@ -537,31 +532,31 @@ func (c *Coordinator) Matrix(ctx context.Context, benches []string, depths []int
 // the full configuration, and one stable choice keeps the mix's placement
 // (and so its cache locality) consistent. The answer must carry the
 // asked-for model configuration and one cell per policy, all of the mix.
-func smtJob(mix workload.Mix, cfg smt.Config) job[SMTResponse] {
+func smtJob(mix workload.Mix, cfg smt.Config) job[sim.SMTGrid] {
 	key, err := sim.StudyKey(sim.SMTStudy{Mix: mix, Policy: sim.SMTPolicies[0], Config: cfg})
-	return job[SMTResponse]{
+	return job[sim.SMTGrid]{
 		name: "smt " + mix.Name,
 		key:  key,
 		err:  err,
 		path: "/v1/study/smt",
 		req:  SMTRequest{Mixes: []string{mix.Name}, MaxCycles: cfg.MaxCycles},
-		check: func(r SMTResponse) error {
-			if r.Config != cfg {
-				return fmt.Errorf("answered under config %+v, asked for %+v", r.Config, cfg)
+		check: func(g sim.SMTGrid) error {
+			if g.Config != cfg {
+				return fmt.Errorf("answered under config %+v, asked for %+v", g.Config, cfg)
 			}
-			if len(r.Cells) != len(sim.SMTPolicies) {
-				return fmt.Errorf("answered %d cells for mix %s, want %d", len(r.Cells), mix.Name, len(sim.SMTPolicies))
+			if len(g.Cells) != len(sim.SMTPolicies) {
+				return fmt.Errorf("answered %d cells for mix %s, want %d", len(g.Cells), mix.Name, len(sim.SMTPolicies))
 			}
-			for _, cell := range r.Cells {
+			for _, cell := range g.Cells {
 				if cell.Mix != mix.Name {
 					return fmt.Errorf("answered for mix %s, asked for %s", cell.Mix, mix.Name)
 				}
 			}
 			return nil
 		},
-		local: func(ctx context.Context, e *sim.Engine) (SMTResponse, error) {
+		local: func(ctx context.Context, e *sim.Engine) (sim.SMTGrid, error) {
 			g, err := e.RunSMTGrid(ctx, []workload.Mix{mix}, sim.SMTPolicies, cfg)
-			return SMTResponse{Config: cfg, Cells: g.Records()}, err
+			return *g, err
 		},
 	}
 }
@@ -569,29 +564,29 @@ func smtJob(mix workload.Mix, cfg smt.Config) job[SMTResponse] {
 // SMTGrid runs the SMT fetch-policy study distributed, one job per mix
 // (a mix's policy cells share its thread set; splitting finer would buy
 // little and cost the worker its per-mix program resolution). The
-// returned records concatenate the per-mix answers in request order —
-// exactly sim.SMTGrid.Records' mix-major iteration, so the merged slice
-// is byte-compatible with a single-node run.
-func (c *Coordinator) SMTGrid(ctx context.Context, mixes []workload.Mix, cfg smt.Config) ([]sim.SMTRecord, error) {
-	jobs := make([]job[SMTResponse], len(mixes))
+// returned grid appends the per-mix answers' cells in request order —
+// exactly sim.Engine.RunSMTGrid's mix-major run order, so the merged
+// grid is byte-identical to a single-node run.
+func (c *Coordinator) SMTGrid(ctx context.Context, mixes []workload.Mix, cfg smt.Config) (*sim.SMTGrid, error) {
+	jobs := make([]job[sim.SMTGrid], len(mixes))
 	for i, mix := range mixes {
 		jobs[i] = smtJob(mix, cfg)
 	}
 	answers, err := runJobs(ctx, c, jobs, nil)
-	var out []sim.SMTRecord
+	g := &sim.SMTGrid{Config: cfg, Cells: []sim.SMTRecord{}, Mixes: mixes, Policies: sim.SMTPolicies}
 	for _, a := range answers {
-		out = append(out, a.Cells...)
+		g.Cells = append(g.Cells, a.Cells...)
 	}
-	return out, err
+	return g, err
 }
 
 // vpredJob is one (bench × predictor) pair: a one-pair POST
 // /v1/study/vpred (its all/selective cells share the bench's trace),
 // placed by the pair's all-instructions study key. The answer must carry
 // the asked-for parameters and both cells of the pair.
-func vpredJob(bench, pred string, params sim.VPredParams) job[VPredResponse] {
+func vpredJob(bench, pred string, params sim.VPredParams) job[sim.VPredGrid] {
 	key, err := sim.StudyKey(sim.VPredStudy{Bench: bench, Predictor: pred, Selective: false, Params: params})
-	return job[VPredResponse]{
+	return job[sim.VPredGrid]{
 		name: "vpred " + bench + "/" + pred,
 		key:  key,
 		err:  err,
@@ -600,41 +595,42 @@ func vpredJob(bench, pred string, params sim.VPredParams) job[VPredResponse] {
 			Benches: []string{bench}, Predictors: []string{pred},
 			MaxInsts: params.MaxInsts, DepThreshold: params.DepThreshold,
 		},
-		check: func(r VPredResponse) error {
-			if r.Params != params {
-				return fmt.Errorf("answered under params %+v, asked for %+v", r.Params, params)
+		check: func(g sim.VPredGrid) error {
+			if g.Params != params {
+				return fmt.Errorf("answered under params %+v, asked for %+v", g.Params, params)
 			}
-			if len(r.Cells) != 2 {
-				return fmt.Errorf("answered %d cells for %s/%s, want 2", len(r.Cells), bench, pred)
+			if len(g.Cells) != 2 {
+				return fmt.Errorf("answered %d cells for %s/%s, want 2", len(g.Cells), bench, pred)
 			}
-			for _, cell := range r.Cells {
+			for _, cell := range g.Cells {
 				if cell.Bench != bench || cell.Predictor != pred {
 					return fmt.Errorf("answered for %s/%s, asked for %s/%s", cell.Bench, cell.Predictor, bench, pred)
 				}
 			}
 			return nil
 		},
-		local: func(ctx context.Context, e *sim.Engine) (VPredResponse, error) {
+		local: func(ctx context.Context, e *sim.Engine) (sim.VPredGrid, error) {
 			g, err := e.RunVPredGrid(ctx, []string{bench}, []string{pred}, params)
-			return VPredResponse{Params: params, Cells: g.Records()}, err
+			return *g, err
 		},
 	}
 }
 
 // VPredGrid runs the value-prediction study distributed, one job per
-// (bench × predictor) pair. Per-pair answers concatenate in request
-// order — exactly sim.VPredGrid.Records' bench-major iteration.
-func (c *Coordinator) VPredGrid(ctx context.Context, benches, predictors []string, params sim.VPredParams) ([]sim.VPredRecord, error) {
-	var jobs []job[VPredResponse]
+// (bench × predictor) pair. The returned grid appends the per-pair
+// answers' cells in request order — exactly sim.Engine.RunVPredGrid's
+// bench-major run order.
+func (c *Coordinator) VPredGrid(ctx context.Context, benches, predictors []string, params sim.VPredParams) (*sim.VPredGrid, error) {
+	var jobs []job[sim.VPredGrid]
 	for _, b := range benches {
 		for _, p := range predictors {
 			jobs = append(jobs, vpredJob(b, p, params))
 		}
 	}
 	answers, err := runJobs(ctx, c, jobs, nil)
-	var out []sim.VPredRecord
+	g := &sim.VPredGrid{Params: params, Cells: []sim.VPredRecord{}, Benches: benches, Predictors: predictors}
 	for _, a := range answers {
-		out = append(out, a.Cells...)
+		g.Cells = append(g.Cells, a.Cells...)
 	}
-	return out, err
+	return g, err
 }

@@ -20,9 +20,11 @@
 //     POST /v1/run; an SMT mix is one POST /v1/study/smt with a single
 //     mix; a vpred (bench, predictor) pair is one POST /v1/study/vpred.
 //     Workers validate with the same internal/sim rules as always — the
-//     coordinator holds no privileged channel. The request and response
-//     bodies are declared once (wire.go) and shared with the handlers in
-//     internal/server, so the two ends cannot drift apart.
+//     coordinator holds no privileged channel. The requests are declared
+//     once (wire.go) and shared with the handlers in internal/server; the
+//     answers are internal/sim's own result types (sim.Result,
+//     sim.SMTGrid, sim.VPredGrid), which the handlers encode and the
+//     coordinator decodes, so the two ends cannot drift apart.
 //
 // Every kind of job runs through one code path (job.run): place, POST,
 // check the answer, retry, fall back to local. A kind contributes only a
@@ -44,10 +46,10 @@
 //
 // Merging preserves the single-node byte-identity contract. Matrix
 // results are folded into a sim.Matrix and rendered through the same
-// Records path as a local run; study grids are reassembled by
-// concatenating per-job record slices in request order, which is the
-// grids' own iteration order. The cluster tests pin distributed output
-// byte-for-byte against single-node output.
+// Export path as a local run; a study answer decodes into the sim grid
+// itself, and the merged grid appends each answer's cells in request
+// order, which is the local run order. The cluster tests pin
+// distributed output byte-for-byte against single-node output.
 //
 // See DESIGN.md's distributed execution section for the full contract,
 // including the cache-peer protocol (internal/storage.PeerKV) that lets

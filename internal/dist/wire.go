@@ -8,13 +8,14 @@ import (
 	"io"
 
 	"repro/internal/sim"
-	"repro/internal/smt"
 )
 
-// The worker API's bodies are declared once, here, and used by both ends:
-// internal/server's handlers decode the requests and encode the
-// responses, and the coordinator encodes the requests and decodes the
-// responses of the jobs it fans out, so the two cannot drift apart.
+// The worker API's requests are declared once, here, and used by both
+// ends: internal/server's handlers decode them and the coordinator
+// encodes the jobs it fans out. The answers are internal/sim's own
+// result types — sim.Result for a run, sim.SMTGrid and sim.VPredGrid for
+// the studies — which the handlers encode and the coordinator decodes,
+// so neither side can drift from the other or from the CLI's exports.
 
 // ErrorBody is the uniform error envelope of every non-200 response.
 type ErrorBody struct {
@@ -34,35 +35,19 @@ type RunRequest struct {
 	ConfThreshold uint   `json:"conf_threshold"`
 }
 
-// SMTRequest is the POST /v1/study/smt body.
+// SMTRequest is the POST /v1/study/smt body; the answer is a sim.SMTGrid.
 type SMTRequest struct {
 	Mixes     []string `json:"mixes"`
 	MaxCycles int64    `json:"max_cycles"`
 }
 
-// SMTResponse answers an SMTRequest: the model configuration the cells
-// ran under, the completed cells, and the joined error of a partial
-// result.
-type SMTResponse struct {
-	Config smt.Config      `json:"config"`
-	Cells  []sim.SMTRecord `json:"cells"`
-	Error  string          `json:"error,omitempty"`
-}
-
-// VPredRequest is the POST /v1/study/vpred body.
+// VPredRequest is the POST /v1/study/vpred body; the answer is a
+// sim.VPredGrid.
 type VPredRequest struct {
 	Benches      []string `json:"benches"`
 	Predictors   []string `json:"predictors"`
 	MaxInsts     int64    `json:"max_insts"`
 	DepThreshold int      `json:"dep_threshold"`
-}
-
-// VPredResponse answers a VPredRequest: the parameters the cells ran
-// under, the completed cells, and the joined error of a partial result.
-type VPredResponse struct {
-	Params sim.VPredParams   `json:"params"`
-	Cells  []sim.VPredRecord `json:"cells"`
-	Error  string            `json:"error,omitempty"`
 }
 
 // The streaming matrix format (/v1/matrix?stream=1) is chunked JSON

@@ -109,7 +109,7 @@ func singleNodeBaseline(t *testing.T, path, body string) []byte {
 // matrix response body, for duplicate detection.
 func matrixCellCoords(t *testing.T, body []byte) []string {
 	t.Helper()
-	var mr matrixResponse
+	var mr sim.MatrixExport
 	if err := json.Unmarshal(body, &mr); err != nil {
 		t.Fatalf("matrix body: %v (%s)", err, body)
 	}
@@ -225,7 +225,7 @@ func TestClusterStreamMatchesBlocking(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("blocking matrix: status %d: %s", resp.StatusCode, blocking)
 		}
-		var mr matrixResponse
+		var mr sim.MatrixExport
 		if err := json.Unmarshal(blocking, &mr); err != nil {
 			t.Fatal(err)
 		}
@@ -249,13 +249,13 @@ func TestClusterStreamMatchesBlocking(t *testing.T) {
 			t.Fatalf("trailer %+v for %d streamed cells", trailer, len(results))
 		}
 		// Completion order is nondeterministic; reassemble through the same
-		// Matrix + Records path the blocking response used and compare the
+		// Matrix + Export path the blocking response used and compare the
 		// rendered cells byte-for-byte.
 		mx := &sim.Matrix{MaxInsts: 5000}
 		for _, r := range results {
 			mx.Add(r)
 		}
-		got, err := json.Marshal(mx.Records([]int{20}))
+		got, err := json.Marshal(mx.Export([]int{20}).Cells)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +386,8 @@ func TestClusterWorkerRegistration(t *testing.T) {
 // TestClusterCachePeerProtocol pins the /v1/cache endpoints and the peer
 // tier end to end: a cell computed on daemon A is served by daemon B
 // from A's cache without simulating, junk keys and junk payloads are
-// rejected, and a rejected payload never poisons the store.
+// rejected, a rejected payload never poisons the store, and push mode
+// replicates a fresh entry to the peer as it is computed.
 func TestClusterCachePeerProtocol(t *testing.T) {
 	_, tsA, engA := newTestServer(t, nil)
 	_, tsB, engB := newTestServer(t, nil)
@@ -442,5 +443,29 @@ func TestClusterCachePeerProtocol(t *testing.T) {
 	}
 	if _, ok := engA.Cache.Raw(missKey); ok {
 		t.Error("rejected peer payload reached the store")
+	}
+
+	// Push direction: a daemon in push mode replicates each fresh entry to
+	// its peer as it computes it, so the peer serves the cell from its own
+	// store — byte-identical, without simulating and without a pull tier.
+	_, tsPush, engPush := newTestServer(t, nil)
+	_, tsRecv, engRecv := newTestServer(t, nil)
+	engPush.Cache.SetPeers(storage.NewPeerKV([]string{tsRecv.URL}, nil), true)
+	resp, want = post(t, tsPush.URL+"/v1/run", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("pushing run: status %d: %s", resp.StatusCode, want)
+	}
+	if n := engPush.Cache.PeerPushes(); n != 1 {
+		t.Errorf("peer pushes = %d, want 1", n)
+	}
+	if n, err := engRecv.Cache.Len(); err != nil || n != 1 {
+		t.Fatalf("receiving cache holds %d entries (err %v), want 1", n, err)
+	}
+	resp, got = post(t, tsRecv.URL+"/v1/run", body)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("push-warmed run drifted (status %d):\n got %s\nwant %s", resp.StatusCode, got, want)
+	}
+	if n := engRecv.Simulated(); n != 0 {
+		t.Errorf("push-warmed daemon simulated %d cells, want 0", n)
 	}
 }

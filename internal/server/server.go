@@ -335,6 +335,20 @@ func hashParts(kind string, parts ...string) string {
 	return fmt.Sprintf("%s|%x", kind, h.Sum(nil))
 }
 
+// studyFlight keys a study request's flight by the ordered study keys of
+// its cells, as enumerated by sim's study enumerators.
+func studyFlight[S sim.Study](kind string, studies []S) (string, error) {
+	parts := make([]string, len(studies))
+	for i, st := range studies {
+		key, err := sim.StudyKey(st)
+		if err != nil {
+			return "", err
+		}
+		parts[i] = key
+	}
+	return hashParts(kind, parts...), nil
+}
+
 // --- /healthz and /v1/bench ----------------------------------------------
 
 type storageHealth struct {
@@ -506,15 +520,6 @@ type matrixRequest struct {
 	MaxInsts int64    `json:"max_insts"`
 }
 
-// matrixResponse mirrors Matrix.WriteJSON's envelope with an optional
-// error field for the partial-result contract: when some cells fail, the
-// completed cells are still returned alongside the joined error.
-type matrixResponse struct {
-	MaxInsts int64        `json:"max_insts"`
-	Cells    []sim.Record `json:"cells"`
-	Error    string       `json:"error,omitempty"`
-}
-
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	var req matrixRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -561,14 +566,10 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	}
 	// The flight key is the ordered list of the cells' cache keys — the
 	// same content identities the result cache uses.
-	parts := make([]string, 0, cells)
-	for _, b := range req.Benches {
-		for _, d := range req.Depths {
-			for _, md := range modes {
-				spec := sim.Spec{Bench: b, Depth: d, Mode: md, MaxInsts: req.MaxInsts}
-				parts = append(parts, sim.CacheKey(spec, spec.Config()))
-			}
-		}
+	specs := sim.MatrixSpecs(req.Benches, req.Depths, modes, req.MaxInsts)
+	parts := make([]string, len(specs))
+	for i, spec := range specs {
+		parts[i] = sim.CacheKey(spec, spec.Config())
 	}
 	depths := req.Depths
 	if r.URL.Query().Get("stream") == "1" {
@@ -579,17 +580,15 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	s.coalesce(w, hashParts("matrix", parts...), func() *response {
 		mx, err := s.runMatrix(ctx, req.Benches, depths, modes, req.MaxInsts)
-		body := matrixResponse{MaxInsts: req.MaxInsts, Cells: mx.Records(depths), Error: errString(err, "")}
-		if body.Cells == nil {
-			body.Cells = []sim.Record{}
-		}
+		body := mx.Export(depths)
+		body.Error = errString(err, "")
 		return jsonResponse(errStatus(err), body)
 	})
 }
 
 // runMatrix runs the grid through the coordinator when this daemon has
 // one, locally otherwise. Both paths populate an identical sim.Matrix,
-// and the caller renders it through the same Records path either way —
+// and the caller renders it through the same Export path either way —
 // that shared tail is the byte-identity contract's enforcement point.
 func (s *Server) runMatrix(ctx context.Context, benches []string, depths []int, modes []cpu.PredMode, maxInsts int64) (*sim.Matrix, error) {
 	if s.cfg.Coordinator != nil {
@@ -632,34 +631,23 @@ func (s *Server) handleSMT(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	parts := make([]string, 0, len(mixes)*len(sim.SMTPolicies))
-	for _, m := range mixes {
-		for _, p := range sim.SMTPolicies {
-			key, err := sim.StudyKey(sim.SMTStudy{Mix: m, Policy: p, Config: cfg})
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-			parts = append(parts, key)
-		}
+	key, err := studyFlight("smt", sim.SMTStudies(mixes, sim.SMTPolicies, cfg))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	s.coalesce(w, hashParts("smt", parts...), func() *response {
-		var cells []sim.SMTRecord
+	s.coalesce(w, key, func() *response {
+		var g *sim.SMTGrid
 		var err error
 		if s.cfg.Coordinator != nil {
-			cells, err = s.cfg.Coordinator.SMTGrid(ctx, mixes, cfg)
+			g, err = s.cfg.Coordinator.SMTGrid(ctx, mixes, cfg)
 		} else {
-			var g *sim.SMTGrid
 			g, err = s.cfg.Engine.RunSMTGrid(ctx, mixes, sim.SMTPolicies, cfg)
-			cells = g.Records()
 		}
-		body := dist.SMTResponse{Config: cfg, Cells: cells, Error: errString(err, "")}
-		if body.Cells == nil {
-			body.Cells = []sim.SMTRecord{}
-		}
-		return jsonResponse(errStatus(err), body)
+		g.Error = errString(err, "")
+		return jsonResponse(errStatus(err), g)
 	})
 }
 
@@ -703,36 +691,23 @@ func (s *Server) handleVPred(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	parts := make([]string, 0, cells)
-	for _, b := range req.Benches {
-		for _, p := range req.Predictors {
-			for _, sel := range []bool{false, true} {
-				key, err := sim.StudyKey(sim.VPredStudy{Bench: b, Predictor: p, Selective: sel, Params: params})
-				if err != nil {
-					writeError(w, http.StatusInternalServerError, err.Error())
-					return
-				}
-				parts = append(parts, key)
-			}
-		}
+	key, err := studyFlight("vpred", sim.VPredStudies(req.Benches, req.Predictors, params))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	s.coalesce(w, hashParts("vpred", parts...), func() *response {
-		var cells []sim.VPredRecord
+	s.coalesce(w, key, func() *response {
+		var g *sim.VPredGrid
 		var err error
 		if s.cfg.Coordinator != nil {
-			cells, err = s.cfg.Coordinator.VPredGrid(ctx, req.Benches, req.Predictors, params)
+			g, err = s.cfg.Coordinator.VPredGrid(ctx, req.Benches, req.Predictors, params)
 		} else {
-			var g *sim.VPredGrid
 			g, err = s.cfg.Engine.RunVPredGrid(ctx, req.Benches, req.Predictors, params)
-			cells = g.Records()
 		}
-		body := dist.VPredResponse{Params: params, Cells: cells, Error: errString(err, "")}
-		if body.Cells == nil {
-			body.Cells = []sim.VPredRecord{}
-		}
-		return jsonResponse(errStatus(err), body)
+		g.Error = errString(err, "")
+		return jsonResponse(errStatus(err), g)
 	})
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,8 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/sim"
+	"repro/internal/smt"
+	"repro/internal/workload"
 )
 
 // TestRunWarmHitByteStable pins the service's core promise: a repeated
@@ -67,7 +70,7 @@ func TestMatrixWarmHitByteStable(t *testing.T) {
 	if sims := eng.Simulated(); sims != 2 {
 		t.Fatalf("simulated %d cells, want 2", sims)
 	}
-	var mr matrixResponse
+	var mr sim.MatrixExport
 	if err := json.Unmarshal(b1, &mr); err != nil {
 		t.Fatal(err)
 	}
@@ -106,6 +109,56 @@ func TestStudyWarmHitByteStable(t *testing.T) {
 		}
 		if len(env.Cells) != tc.cells || env.Error != "" {
 			t.Fatalf("%s: %d cells (want %d), error %q", tc.path, len(env.Cells), tc.cells, env.Error)
+		}
+	}
+}
+
+// TestCLIExportMatchesHTTPBody pins that each result grid leaves the
+// process as one body: the CLI's -json export of a grid and the service's
+// response to the same request are the same bytes, for the matrix and
+// both study grids.
+func TestCLIExportMatchesHTTPBody(t *testing.T) {
+	_, ts, eng := newTestServer(t, nil)
+	ctx := context.Background()
+	smtCfg := smt.DefaultConfig()
+	smtCfg.MaxCycles = 3000
+	budget := fmt.Sprintf(`{"max_insts":%d}`, testInsts)
+	for _, tc := range []struct {
+		path, body string
+		export     func(io.Writer) error
+	}{
+		{"/v1/matrix", budget, func(w io.Writer) error {
+			mx, err := eng.RunMatrix(ctx, workload.Names, sim.Depths, sim.Modes, testInsts)
+			if err != nil {
+				return err
+			}
+			return mx.WriteJSON(w, sim.Depths)
+		}},
+		{"/v1/study/smt", `{"max_cycles":3000}`, func(w io.Writer) error {
+			g, err := eng.RunSMTGrid(ctx, workload.Mixes(), sim.SMTPolicies, smtCfg)
+			if err != nil {
+				return err
+			}
+			return g.WriteJSON(w)
+		}},
+		{"/v1/study/vpred", budget, func(w io.Writer) error {
+			g, err := eng.RunVPredGrid(ctx, workload.Names, sim.VPredPredictors, sim.DefaultVPredParams(testInsts))
+			if err != nil {
+				return err
+			}
+			return g.WriteJSON(w)
+		}},
+	} {
+		var cli bytes.Buffer
+		if err := tc.export(&cli); err != nil {
+			t.Fatalf("%s: CLI export: %v", tc.path, err)
+		}
+		resp, body := post(t, ts.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.path, resp.StatusCode, body)
+		}
+		if !bytes.Equal(body, cli.Bytes()) {
+			t.Errorf("%s: HTTP body differs from the CLI export:\n body: %.300s\n  cli: %.300s", tc.path, body, cli.Bytes())
 		}
 	}
 }

@@ -38,8 +38,10 @@ const cacheVersion = 1
 // Disk access goes through a storage.KV backend (storage.DirKV over a
 // storage.FS) behind a circuit breaker: after a run of consecutive disk
 // faults the cache degrades to a memory-only overlay instead of erroring
-// every request, probing the disk on later writes and flushing the
-// overlay back once a probe succeeds. Entries are keyed by content hash,
+// every request, probing the disk on later writes. A failed write parks
+// its entry in the overlay, and the next successful write — a probe, or
+// a plain write-through when the failure never tripped the breaker —
+// flushes the overlay back to disk. Entries are keyed by content hash,
 // so an overlay entry is exactly the bytes the disk would have held —
 // degraded mode changes durability, never results.
 //
@@ -376,32 +378,34 @@ func (c *Cache) PutStudy(s Study, stats any) error {
 //     the bytes in the overlay (the result itself is not lost) and is
 //     reported to the caller.
 //   - breaker open, no probe due: overlay only, silently.
-//   - breaker open, probe granted: attempt the disk write; on success the
-//     breaker closes and the whole overlay flushes back to disk.
+//   - breaker open, probe granted: write through; a failure feeds the
+//     breaker and parks the bytes silently.
+//
+// Every successful write drops the key from the overlay and flushes any
+// other parked entries back to disk, so an entry parked by a failure the
+// breaker never tripped on is not left memory-only.
 func (c *Cache) store(key string, b []byte) error {
-	if !c.brk.Open() {
-		if err := c.writeAtomic(key, b); err != nil {
-			c.brk.Failure()
-			c.putMem(key, b)
-			return err
-		}
-		c.brk.Success()
-		return nil
-	}
-	if !c.brk.Allow() {
+	open := c.brk.Open()
+	if open && !c.brk.Allow() {
 		c.putMem(key, b)
 		return nil
 	}
 	if err := c.writeAtomic(key, b); err != nil {
 		c.brk.Failure()
 		c.putMem(key, b)
-		return nil
+		if open {
+			return nil
+		}
+		return err
 	}
 	c.brk.Success()
 	c.mu.Lock()
 	delete(c.mem, key)
+	parked := len(c.mem)
 	c.mu.Unlock()
-	c.flush()
+	if parked > 0 {
+		c.flush()
+	}
 	return nil
 }
 

@@ -312,7 +312,7 @@ func TestOpenCacheRejectsEmptyDir(t *testing.T) {
 // passing the relative key tests above.
 func TestCacheKeyValuesPinned(t *testing.T) {
 	spec := Spec{Bench: "gcc", Depth: 20, Mode: cpu.PredARVICurrent, MaxInsts: 250000}
-	smtKey, err := StudyKey(SMTStudy{Mix: workload.MixByName("ijpeg+li"), Policy: smt.ICOUNT, Config: smt.DefaultConfig()})
+	smtStudyKey, err := StudyKey(SMTStudy{Mix: workload.MixByName("ijpeg+li"), Policy: smt.ICOUNT, Config: smt.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestCacheKeyValuesPinned(t *testing.T) {
 	}
 	for _, c := range []struct{ name, got, want string }{
 		{"CacheKey gcc/20/arvi-current/250000", CacheKey(spec, spec.Config()), "470e4214211763c826ddfcd512e63061f0c20596d76e06f218f7b490c51a6d6a"},
-		{"StudyKey smt ijpeg+li/ICOUNT", smtKey, "8d590458d695a735a34f2c7d4fd8f24885b58bfe1492d99429ed5713eea3a3f3"},
+		{"StudyKey smt ijpeg+li/ICOUNT", smtStudyKey, "8d590458d695a735a34f2c7d4fd8f24885b58bfe1492d99429ed5713eea3a3f3"},
 		{"StudyKey vpred gcc/stride/selective", vpKey, "ee2126df2d048ed00bae89a92e017a3ca9af4a5d79a842e4e44cbdb241388a50"},
 	} {
 		if c.got != c.want {

@@ -303,6 +303,44 @@ func TestChaosCacheDegradedModeTripsProbesAndRecovers(t *testing.T) {
 	}
 }
 
+// TestChaosCacheFlushesParkedEntryWithoutTrip pins the flush for a
+// failure the breaker never trips on: one failed write parks its entry in
+// the overlay, and the next successful write puts it on disk, so a fresh
+// process finds it and the cache does not stay partly memory-only while
+// reporting healthy.
+func TestChaosCacheFlushesParkedEntryWithoutTrip(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	ffs := storage.NewFaultFS(storage.OS{}, storage.Fault{Op: storage.OpWrite, N: 1, Mode: storage.FaultErr})
+	c, err := OpenCacheFS(dir, ffs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := cacheSpec, cacheSpec
+	b.MaxInsts++
+	stA, stB := cpu.Stats{Insts: 1, Cycles: 10}, cpu.Stats{Insts: 2, Cycles: 20}
+	if err := c.Put(a, stA); err == nil {
+		t.Fatal("put a: the failed write must be reported")
+	}
+	if err := c.Put(b, stB); err != nil {
+		t.Fatalf("put b: %v", err)
+	}
+	if c.Degraded() || c.MemEntries() != 0 {
+		t.Fatalf("degraded = %v, overlay = %d; want false, 0", c.Degraded(), c.MemEntries())
+	}
+	fresh, err := OpenCacheFS(dir, storage.OS{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		spec Spec
+		want cpu.Stats
+	}{{a, stA}, {b, stB}} {
+		if got, ok := fresh.Get(tc.spec); !ok || got != tc.want {
+			t.Errorf("fresh cache: %+v, %v; want %+v", got, ok, tc.want)
+		}
+	}
+}
+
 // TestChaosTraceStoreDegradedModeRecovers drives the trace store's
 // breaker open on a write-broken disk and verifies it stops touching the
 // disk entirely until a post-probation probe succeeds.

@@ -5,10 +5,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
+	"strings"
 
 	"repro/internal/cpu"
 	"repro/internal/workload"
 )
+
+// Every result grid leaves the process through one declaration of its
+// body: MatrixExport, SMTGrid, VPredGrid. The CLI's -json and -csv files
+// (writeJSON and writeCSV below serve all three), the service's response
+// bodies and the worker answers the coordinator decodes are all these
+// types, so they agree byte for byte by construction.
 
 // Record is one exported matrix cell with its derived metrics and the
 // full raw stats. NormIPC is nil when the cell's baseline sibling is
@@ -28,13 +36,22 @@ type Record struct {
 	Stats        cpu.Stats `json:"stats"`
 }
 
-// Records flattens the populated cells of the matrix into tidy rows (one
-// per benchmark × depth × mode, suite order). Missing cells are skipped,
-// so a partial grid exports exactly what completed.
+// MatrixExport is the matrix's JSON body: the run's instruction budget,
+// one record per populated cell, and — in the service's body only — the
+// joined error of a partial result.
+type MatrixExport struct {
+	MaxInsts int64    `json:"max_insts"`
+	Cells    []Record `json:"cells"`
+	Error    string   `json:"error,omitempty"`
+}
+
+// Export flattens the populated cells of the matrix into tidy records
+// (one per benchmark × depth × mode, suite order). Missing cells are
+// skipped, so a partial grid exports exactly what completed.
 //
 //arvi:det
-func (m *Matrix) Records(depths []int) []Record {
-	var out []Record
+func (m *Matrix) Export(depths []int) MatrixExport {
+	x := MatrixExport{MaxInsts: m.MaxInsts, Cells: make([]Record, 0, m.Len())}
 	for _, b := range workload.Names {
 		for _, d := range depths {
 			base, baseOK := m.Lookup(b, d, Modes[0])
@@ -48,7 +65,7 @@ func (m *Matrix) Records(depths []int) []Record {
 					n := st.IPC() / base.IPC()
 					norm = &n
 				}
-				out = append(out, Record{
+				x.Cells = append(x.Cells, Record{
 					Bench:        b,
 					Depth:        d,
 					Mode:         md.String(),
@@ -65,42 +82,62 @@ func (m *Matrix) Records(depths []int) []Record {
 			}
 		}
 	}
-	return out
+	return x
 }
 
 // WriteCSV exports the populated result matrix as tidy CSV (one row per
 // benchmark × depth × mode) for external plotting: IPC, normalized IPC,
 // accuracy, class accuracies and load-branch fraction.
+func (m *Matrix) WriteCSV(w io.Writer, depths []int) error {
+	return writeCSV(w, m.Export(depths).Cells)
+}
+
+// WriteJSON exports the populated matrix cells as indented JSON, raw
+// Stats included, for downstream tooling that wants more than the CSV's
+// derived metrics.
+func (m *Matrix) WriteJSON(w io.Writer, depths []int) error {
+	return writeJSON(w, m.Export(depths))
+}
+
+// writeJSON writes a grid's body as indented JSON, newline-terminated —
+// byte for byte what the service's encoder sends for the same body.
 //
 //arvi:det
-func (m *Matrix) WriteCSV(w io.Writer, depths []int) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"bench", "depth", "mode", "ipc", "norm_ipc", "accuracy",
-		"calc_acc", "load_acc", "load_frac", "mispredicts", "cond_branches",
+func writeJSON(w io.Writer, body any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(body)
+}
+
+// writeCSV writes records as tidy CSV: one column per scalar field, in
+// declaration order, headed by the field's JSON name. Floats render at 4
+// decimals and a nil *float64 as an empty field; slice and struct fields
+// (member lists, per-thread counts, raw stats) appear only in the JSON.
+//
+//arvi:det
+func writeCSV[R any](w io.Writer, records []R) error {
+	t := reflect.TypeFor[R]()
+	var cols []int
+	var header []string
+	for i := 0; i < t.NumField(); i++ {
+		if k := t.Field(i).Type.Kind(); k == reflect.Slice || k == reflect.Struct {
+			continue
+		}
+		cols = append(cols, i)
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		header = append(header, name)
 	}
+	cw := csv.NewWriter(w)
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for _, r := range m.Records(depths) {
-		norm := ""
-		if r.NormIPC != nil {
-			norm = fmt.Sprintf("%.4f", *r.NormIPC)
+	row := make([]string, len(cols))
+	for _, r := range records {
+		v := reflect.ValueOf(r)
+		for j, i := range cols {
+			row[j] = csvField(v.Field(i))
 		}
-		rec := []string{
-			r.Bench,
-			fmt.Sprintf("%d", r.Depth),
-			r.Mode,
-			fmt.Sprintf("%.4f", r.IPC),
-			norm,
-			fmt.Sprintf("%.4f", r.Accuracy),
-			fmt.Sprintf("%.4f", r.CalcAcc),
-			fmt.Sprintf("%.4f", r.LoadAcc),
-			fmt.Sprintf("%.4f", r.LoadFrac),
-			fmt.Sprintf("%d", r.Mispredicts),
-			fmt.Sprintf("%d", r.CondBranches),
-		}
-		if err := cw.Write(rec); err != nil {
+		if err := cw.Write(row); err != nil {
 			return err
 		}
 	}
@@ -108,25 +145,16 @@ func (m *Matrix) WriteCSV(w io.Writer, depths []int) error {
 	return cw.Error()
 }
 
-// jsonExport is the envelope WriteJSON emits: the run parameters plus one
-// object per populated cell, with the full raw Stats alongside the
-// derived metrics.
-type jsonExport struct {
-	MaxInsts int64    `json:"max_insts"`
-	Cells    []Record `json:"cells"`
-}
-
-// WriteJSON exports the populated matrix cells as indented JSON, raw
-// Stats included, for downstream tooling that wants more than the CSV's
-// derived metrics.
-//
-//arvi:det
-func (m *Matrix) WriteJSON(w io.Writer, depths []int) error {
-	cells := m.Records(depths)
-	if cells == nil {
-		cells = []Record{}
+// csvField renders one scalar record field.
+func csvField(v reflect.Value) string {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return ""
+		}
+		return csvField(v.Elem())
+	case reflect.Float64:
+		return fmt.Sprintf("%.4f", v.Float())
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(jsonExport{MaxInsts: m.MaxInsts, Cells: cells})
+	return fmt.Sprint(v.Interface())
 }

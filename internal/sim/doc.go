@@ -23,12 +23,19 @@
 // Main entry points:
 //
 //   - Spec / Simulate / Engine.Run / Engine.RunMatrix — the Section 5
-//     branch-prediction cells and grids; Matrix holds a (possibly
-//     partial) grid and Fig5a/Fig5b/Fig6Accuracy/Fig6IPC/Table2/Table4
-//     render the paper's artifacts from it.
+//     branch-prediction cells and grids; MatrixSpecs enumerates a grid's
+//     cells, Matrix holds a (possibly partial) grid and
+//     Fig5a/Fig5b/Fig6Accuracy/Fig6IPC/Table2/Table4 render the paper's
+//     artifacts from it.
 //   - Study / RunStudies — the cache-keyed cell contract of the Section 3
 //     studies; Engine.RunSMTGrid and Engine.RunVPredGrid wire the two
-//     studies through it.
+//     studies through it, over the cells SMTStudies and VPredStudies
+//     enumerate.
+//   - MatrixExport (Matrix.Export), SMTGrid and VPredGrid — each grid's
+//     one JSON body: the CLI's -json file, the service's response and
+//     the worker answer the dist coordinator decodes. One JSON writer
+//     and one CSV writer (csv.go) render all three; the CSV holds each
+//     record's scalar fields, headed by their JSON names.
 //   - ForEach — the bounded worker pool the engine and the dist
 //     coordinator share.
 //   - Engine.RunConfThresholdSweep / Engine.RunCutAtLoadsSweep — the

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"context"
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -41,10 +39,8 @@ type SMTStudy struct {
 	Policy smt.Policy
 	Config smt.Config
 
-	// benches holds the pre-resolved mix members (RunSMTGrid resolves a
-	// mix once and shares it across its policy cells, since building a
-	// benchmark regenerates and reassembles its program). Nil means
-	// resolve on use, so hand-constructed studies stay valid.
+	// benches holds the pre-resolved mix members (see SMTStudies). Nil
+	// means resolve on use, so hand-constructed studies stay valid.
 	benches []workload.Benchmark
 }
 
@@ -111,53 +107,79 @@ func (s SMTStudy) Simulate() (any, error) {
 	}, nil
 }
 
-// smtKey indexes an SMT result grid.
-type smtKey struct {
-	mix    string
-	policy smt.Policy
-}
-
-// SMTGrid holds a (mix × policy) result grid. Like Matrix it may be
-// partial; renderers go through Lookup and mark missing cells n/a.
+// SMTGrid is a (mix × policy) result grid and its JSON body: the model
+// configuration and the completed cells in run order (mix-major, policy
+// order). Like Matrix it may be partial; the tables go through Lookup
+// and mark missing cells n/a.
 type SMTGrid struct {
-	Mixes    []workload.Mix
-	Policies []smt.Policy
-	Config   smt.Config
-	m        map[smtKey]SMTStats
+	Config smt.Config  `json:"config"`
+	Cells  []SMTRecord `json:"cells"`
+	// Error is the joined error of a partial result, in the service's
+	// body only.
+	Error string `json:"error,omitempty"`
+
+	// Mixes and Policies are the requested axes the tables render.
+	Mixes    []workload.Mix `json:"-"`
+	Policies []smt.Policy   `json:"-"`
 }
 
-// Lookup returns one cell and whether it is populated.
+// SMTRecord is one exported SMT grid cell: its coordinates, its derived
+// throughput and every SMTStats field.
+type SMTRecord struct {
+	Mix        string   `json:"mix"`
+	Benches    []string `json:"benches"`
+	Policy     string   `json:"policy"`
+	IPC        float64  `json:"ipc"`
+	Cycles     int64    `json:"cycles"`
+	TotalInsts int64    `json:"total_insts"`
+	PerThread  []int64  `json:"per_thread"`
+	PeakWindow int      `json:"peak_window"`
+}
+
+// Lookup returns one cell's stats and whether it is populated. It scans
+// the cells: grids are small, and only tables and tests look cells up.
 func (g *SMTGrid) Lookup(mix string, p smt.Policy) (SMTStats, bool) {
-	st, ok := g.m[smtKey{mix, p}]
-	return st, ok
+	for _, c := range g.Cells {
+		if c.Mix == mix && c.Policy == p.String() {
+			return SMTStats{Cycles: c.Cycles, TotalInsts: c.TotalInsts, PerThread: c.PerThread, PeakWindow: c.PeakWindow}, true
+		}
+	}
+	return SMTStats{}, false
 }
 
 // Len reports the number of populated cells.
-func (g *SMTGrid) Len() int { return len(g.m) }
+func (g *SMTGrid) Len() int { return len(g.Cells) }
 
-// RunSMTGrid evaluates every (mix × policy) cell through the engine's
-// worker pool and cache, with the usual partial-result contract: the grid
-// holds everything that completed and the error joins per-cell failures.
-func (e *Engine) RunSMTGrid(ctx context.Context, mixes []workload.Mix, policies []smt.Policy, cfg smt.Config) (*SMTGrid, error) {
-	var studies []SMTStudy
+// SMTStudies enumerates the (mix × policy) cells in the canonical
+// mix-major order RunSMTGrid runs them and the service keys its flights
+// by. Each mix is resolved once and shared by its policy cells, since
+// building a benchmark regenerates and reassembles its program; a mix
+// that fails to resolve stays unresolved, so each of its cells' Simulate
+// surfaces the failure through the usual partial-result contract.
+func SMTStudies(mixes []workload.Mix, policies []smt.Policy, cfg smt.Config) []SMTStudy {
+	studies := make([]SMTStudy, 0, len(mixes)*len(policies))
 	for _, m := range mixes {
-		// Resolve each mix once for all its policy cells; a failure stays
-		// nil so the per-cell Simulate surfaces it through the usual
-		// partial-result contract.
 		benches, _ := m.Programs()
 		for _, p := range policies {
 			studies = append(studies, SMTStudy{Mix: m, Policy: p, Config: cfg, benches: benches})
 		}
 	}
-	res, err := RunStudies[SMTStudy, SMTStats](ctx, e, studies)
-	g := &SMTGrid{
-		Mixes:    mixes,
-		Policies: policies,
-		Config:   cfg,
-		m:        make(map[smtKey]SMTStats, len(res)),
-	}
+	return studies
+}
+
+// RunSMTGrid evaluates every (mix × policy) cell through the engine's
+// worker pool and cache, with the usual partial-result contract: the grid
+// holds everything that completed and the error joins per-cell failures.
+func (e *Engine) RunSMTGrid(ctx context.Context, mixes []workload.Mix, policies []smt.Policy, cfg smt.Config) (*SMTGrid, error) {
+	res, err := RunStudies[SMTStudy, SMTStats](ctx, e, SMTStudies(mixes, policies, cfg))
+	g := &SMTGrid{Config: cfg, Cells: make([]SMTRecord, 0, len(res)), Mixes: mixes, Policies: policies}
 	for _, r := range res {
-		g.m[smtKey{r.Study.Mix.Name, r.Study.Policy}] = r.Stats
+		s, st := r.Study, r.Stats
+		g.Cells = append(g.Cells, SMTRecord{
+			Mix: s.Mix.Name, Benches: s.Mix.Benches, Policy: s.Policy.String(),
+			IPC: st.Throughput(), Cycles: st.Cycles, TotalInsts: st.TotalInsts,
+			PerThread: st.PerThread, PeakWindow: st.PeakWindow,
+		})
 	}
 	return g, err
 }
@@ -236,77 +258,8 @@ func SMTBalanceTable(g *SMTGrid) Table {
 	return t
 }
 
-// SMTRecord is one exported SMT grid cell with its derived metrics.
-type SMTRecord struct {
-	Mix        string   `json:"mix"`
-	Benches    []string `json:"benches"`
-	Policy     string   `json:"policy"`
-	IPC        float64  `json:"ipc"`
-	Cycles     int64    `json:"cycles"`
-	TotalInsts int64    `json:"total_insts"`
-	PerThread  []int64  `json:"per_thread"`
-	PeakWindow int      `json:"peak_window"`
-}
-
-// Records flattens the populated cells into tidy rows (mix-major, policy
-// order). Missing cells are skipped.
-//
-//arvi:det
-func (g *SMTGrid) Records() []SMTRecord {
-	var out []SMTRecord
-	for _, m := range g.Mixes {
-		for _, p := range g.Policies {
-			st, ok := g.Lookup(m.Name, p)
-			if !ok {
-				continue
-			}
-			out = append(out, SMTRecord{
-				Mix: m.Name, Benches: m.Benches, Policy: p.String(),
-				IPC: st.Throughput(), Cycles: st.Cycles,
-				TotalInsts: st.TotalInsts, PerThread: st.PerThread,
-				PeakWindow: st.PeakWindow,
-			})
-		}
-	}
-	return out
-}
-
 // WriteCSV exports the populated grid as tidy CSV for external plotting.
-//
-//arvi:det
-func (g *SMTGrid) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"mix", "policy", "ipc", "cycles", "total_insts", "peak_window"}); err != nil {
-		return err
-	}
-	for _, r := range g.Records() {
-		rec := []string{
-			r.Mix, r.Policy,
-			fmt.Sprintf("%.4f", r.IPC),
-			fmt.Sprintf("%d", r.Cycles),
-			fmt.Sprintf("%d", r.TotalInsts),
-			fmt.Sprintf("%d", r.PeakWindow),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
+func (g *SMTGrid) WriteCSV(w io.Writer) error { return writeCSV(w, g.Cells) }
 
-// WriteJSON exports the populated grid cells as indented JSON.
-//
-//arvi:det
-func (g *SMTGrid) WriteJSON(w io.Writer) error {
-	cells := g.Records()
-	if cells == nil {
-		cells = []SMTRecord{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(struct {
-		Config smt.Config  `json:"config"`
-		Cells  []SMTRecord `json:"cells"`
-	}{g.Config, cells})
-}
+// WriteJSON exports the grid's body as indented JSON.
+func (g *SMTGrid) WriteJSON(w io.Writer) error { return writeJSON(w, g) }

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"context"
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -49,10 +47,8 @@ type VPredStudy struct {
 	Selective bool
 	Params    VPredParams
 
-	// bench holds the pre-resolved benchmark (RunVPredGrid resolves each
-	// benchmark once and shares it across its predictor × selection
-	// cells). Nil means resolve on use, so hand-constructed studies stay
-	// valid.
+	// bench holds the pre-resolved benchmark (see VPredStudies). Nil
+	// means resolve on use, so hand-constructed studies stay valid.
 	bench *workload.Benchmark
 }
 
@@ -138,61 +134,84 @@ func (s VPredStudy) Simulate() (any, error) {
 	return res, nil
 }
 
-// vpredKey indexes a value-prediction result grid.
-type vpredKey struct {
-	bench     string
-	predictor string
-	selective bool
-}
-
-// VPredGrid holds a (benchmark × predictor × selection) ablation grid.
-// Like Matrix it may be partial; renderers go through Lookup.
+// VPredGrid is a (benchmark × predictor × selection) ablation grid and
+// its JSON body: the parameters and the completed cells in run order
+// (bench-major, then predictor, all before selective). Like Matrix it
+// may be partial; the tables go through Lookup.
 type VPredGrid struct {
-	Benches    []string
-	Predictors []string
-	Params     VPredParams
-	m          map[vpredKey]vpred.Result
+	Params VPredParams   `json:"params"`
+	Cells  []VPredRecord `json:"cells"`
+	// Error is the joined error of a partial result, in the service's
+	// body only.
+	Error string `json:"error,omitempty"`
+
+	// Benches and Predictors are the requested axes the tables render.
+	Benches    []string `json:"-"`
+	Predictors []string `json:"-"`
 }
 
-// Lookup returns one cell and whether it is populated.
+// VPredRecord is one exported grid cell: its coordinates, every
+// vpred.Result field and the derived metrics.
+type VPredRecord struct {
+	Bench       string  `json:"bench"`
+	Predictor   string  `json:"predictor"`
+	Selective   bool    `json:"selective"`
+	Insts       int64   `json:"insts"`
+	Candidates  int64   `json:"candidates"`
+	Predictions int64   `json:"predictions"`
+	Correct     int64   `json:"correct"`
+	Coverage    float64 `json:"coverage"`
+	Accuracy    float64 `json:"accuracy"`
+}
+
+// Lookup returns one cell's stats and whether it is populated. It scans
+// the cells: grids are small, and only tables and tests look cells up.
 func (g *VPredGrid) Lookup(bench, predictor string, selective bool) (vpred.Result, bool) {
-	st, ok := g.m[vpredKey{bench, predictor, selective}]
-	return st, ok
+	for _, c := range g.Cells {
+		if c.Bench == bench && c.Predictor == predictor && c.Selective == selective {
+			return vpred.Result{Insts: c.Insts, Candidates: c.Candidates, Predictions: c.Predictions, Correct: c.Correct}, true
+		}
+	}
+	return vpred.Result{}, false
 }
 
 // Len reports the number of populated cells.
-func (g *VPredGrid) Len() int { return len(g.m) }
+func (g *VPredGrid) Len() int { return len(g.Cells) }
 
-// RunVPredGrid evaluates the all-vs-selective ablation for every
-// (benchmark × predictor) through the engine's worker pool and cache,
-// with the usual partial-result contract.
-func (e *Engine) RunVPredGrid(ctx context.Context, benches []string, predictors []string, params VPredParams) (*VPredGrid, error) {
-	var studies []VPredStudy
+// VPredStudies enumerates the (benchmark × predictor × selection) cells
+// in the canonical bench-major order RunVPredGrid runs them and the
+// service keys its flights by. Each benchmark is resolved once and
+// shared by its cells; an unknown name stays unresolved, so each of its
+// cells' Simulate surfaces it through the usual partial-result contract.
+func VPredStudies(benches, predictors []string, params VPredParams) []VPredStudy {
+	studies := make([]VPredStudy, 0, len(benches)*len(predictors)*2)
 	for _, b := range benches {
-		// Resolve each benchmark once for all its predictor × selection
-		// cells; an unknown name stays nil so the per-cell Simulate
-		// surfaces it through the usual partial-result contract.
 		var resolved *workload.Benchmark
 		if wb, ok := workload.Lookup(b); ok {
 			resolved = &wb
 		}
 		for _, p := range predictors {
 			for _, sel := range []bool{false, true} {
-				studies = append(studies, VPredStudy{
-					Bench: b, Predictor: p, Selective: sel, Params: params, bench: resolved,
-				})
+				studies = append(studies, VPredStudy{Bench: b, Predictor: p, Selective: sel, Params: params, bench: resolved})
 			}
 		}
 	}
-	res, err := RunStudies[VPredStudy, vpred.Result](ctx, e, studies)
-	g := &VPredGrid{
-		Benches:    benches,
-		Predictors: predictors,
-		Params:     params,
-		m:          make(map[vpredKey]vpred.Result, len(res)),
-	}
+	return studies
+}
+
+// RunVPredGrid evaluates the all-vs-selective ablation for every
+// (benchmark × predictor) through the engine's worker pool and cache,
+// with the usual partial-result contract.
+func (e *Engine) RunVPredGrid(ctx context.Context, benches []string, predictors []string, params VPredParams) (*VPredGrid, error) {
+	res, err := RunStudies[VPredStudy, vpred.Result](ctx, e, VPredStudies(benches, predictors, params))
+	g := &VPredGrid{Params: params, Cells: make([]VPredRecord, 0, len(res)), Benches: benches, Predictors: predictors}
 	for _, r := range res {
-		g.m[vpredKey{r.Study.Bench, r.Study.Predictor, r.Study.Selective}] = r.Stats
+		s, st := r.Study, r.Stats
+		g.Cells = append(g.Cells, VPredRecord{
+			Bench: s.Bench, Predictor: s.Predictor, Selective: s.Selective,
+			Insts: st.Insts, Candidates: st.Candidates, Predictions: st.Predictions, Correct: st.Correct,
+			Coverage: st.Coverage(), Accuracy: st.Accuracy(),
+		})
 	}
 	return g, err
 }
@@ -239,83 +258,8 @@ func VPredCoverageTable(g *VPredGrid) Table {
 	return vpredTable(g, "coverage", func(r vpred.Result) string { return pct(r.Coverage()) })
 }
 
-// VPredRecord is one exported grid cell with its derived metrics.
-type VPredRecord struct {
-	Bench       string  `json:"bench"`
-	Predictor   string  `json:"predictor"`
-	Selective   bool    `json:"selective"`
-	Insts       int64   `json:"insts"`
-	Candidates  int64   `json:"candidates"`
-	Predictions int64   `json:"predictions"`
-	Correct     int64   `json:"correct"`
-	Coverage    float64 `json:"coverage"`
-	Accuracy    float64 `json:"accuracy"`
-}
-
-// Records flattens the populated cells into tidy rows (bench-major).
-// Missing cells are skipped.
-//
-//arvi:det
-func (g *VPredGrid) Records() []VPredRecord {
-	var out []VPredRecord
-	for _, b := range g.Benches {
-		for _, p := range g.Predictors {
-			for _, sel := range []bool{false, true} {
-				st, ok := g.Lookup(b, p, sel)
-				if !ok {
-					continue
-				}
-				out = append(out, VPredRecord{
-					Bench: b, Predictor: p, Selective: sel,
-					Insts: st.Insts, Candidates: st.Candidates,
-					Predictions: st.Predictions, Correct: st.Correct,
-					Coverage: st.Coverage(), Accuracy: st.Accuracy(),
-				})
-			}
-		}
-	}
-	return out
-}
-
 // WriteCSV exports the populated grid as tidy CSV for external plotting.
-//
-//arvi:det
-func (g *VPredGrid) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := []string{"bench", "predictor", "selective", "insts", "candidates", "predictions", "correct", "coverage", "accuracy"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, r := range g.Records() {
-		rec := []string{
-			r.Bench, r.Predictor, fmt.Sprintf("%t", r.Selective),
-			fmt.Sprintf("%d", r.Insts),
-			fmt.Sprintf("%d", r.Candidates),
-			fmt.Sprintf("%d", r.Predictions),
-			fmt.Sprintf("%d", r.Correct),
-			fmt.Sprintf("%.4f", r.Coverage),
-			fmt.Sprintf("%.4f", r.Accuracy),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
+func (g *VPredGrid) WriteCSV(w io.Writer) error { return writeCSV(w, g.Cells) }
 
-// WriteJSON exports the populated grid cells as indented JSON.
-//
-//arvi:det
-func (g *VPredGrid) WriteJSON(w io.Writer) error {
-	cells := g.Records()
-	if cells == nil {
-		cells = []VPredRecord{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(struct {
-		Params VPredParams   `json:"params"`
-		Cells  []VPredRecord `json:"cells"`
-	}{g.Params, cells})
-}
+// WriteJSON exports the grid's body as indented JSON.
+func (g *VPredGrid) WriteJSON(w io.Writer) error { return writeJSON(w, g) }
