@@ -235,8 +235,10 @@ func main() {
 	if ts := eng.Traces; ts != nil {
 		fmt.Fprintf(os.Stderr, "experiments: traces: %d VM runs, %d memory hits, %d disk hits\n",
 			ts.Recorded(), ts.MemHits(), ts.DiskHits())
-		if n := ts.PersistErrs(); n > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: warning: %d trace files could not be persisted\n", n)
+		// A failed write parks its trace in memory until a later write
+		// succeeds, so what the next run misses is what is still parked.
+		if n, parked := ts.PersistErrs(), ts.MemEntries(); n > 0 || parked > 0 {
+			fmt.Fprintf(os.Stderr, "experiments: warning: %d trace writes failed; %d traces did not reach disk\n", n, parked)
 		}
 	}
 

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -15,11 +16,17 @@ import (
 )
 
 // fakeWorker answers /v1/run by echoing the requested spec through
-// mutate, and /v1/study/smt with one cell per policy under the requested
-// config passed through mutateSMT — a worker whose answers are well
-// formed but, unless the mutations are no-ops, for another cell.
-func fakeWorker(t *testing.T, mutate func(*sim.Spec), mutateSMT func(*smt.Config)) *httptest.Server {
+// mutate, /v1/study/smt with one cell per policy under the requested
+// config passed through mutateSMT, and /v1/study/vpred with the pair's
+// all-instructions and selective cells — a worker whose answers are well
+// formed but, unless the mutations are no-ops, for another cell. A
+// non-nil cell hook picks which asked-for study cell (by run order) the
+// answer's i-th cell is built for.
+func fakeWorker(t *testing.T, mutate func(*sim.Spec), mutateSMT func(*smt.Config), cell func(i int) int) *httptest.Server {
 	t.Helper()
+	if cell == nil {
+		cell = func(i int) int { return i }
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
 		var req RunRequest
@@ -43,8 +50,22 @@ func fakeWorker(t *testing.T, mutate func(*sim.Spec), mutateSMT func(*smt.Config
 		resp := sim.SMTGrid{Config: smt.DefaultConfig()}
 		resp.Config.MaxCycles = req.MaxCycles
 		mutateSMT(&resp.Config)
-		for _, p := range sim.SMTPolicies {
+		for i := range sim.SMTPolicies {
+			p := sim.SMTPolicies[cell(i)]
 			resp.Cells = append(resp.Cells, sim.SMTRecord{Mix: req.Mixes[0], Policy: p.String(), Cycles: 1})
+		}
+		_ = json.NewEncoder(w).Encode(resp)
+	})
+	mux.HandleFunc("POST /v1/study/vpred", func(w http.ResponseWriter, r *http.Request) {
+		var req VPredRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Error(err)
+		}
+		resp := sim.VPredGrid{Params: sim.DefaultVPredParams(req.MaxInsts)}
+		resp.Params.DepThreshold = req.DepThreshold
+		for i := range 2 {
+			resp.Cells = append(resp.Cells, sim.VPredRecord{Bench: req.Benches[0], Predictor: req.Predictors[0],
+				Selective: cell(i) == 1, Insts: 1})
 		}
 		_ = json.NewEncoder(w).Encode(resp)
 	})
@@ -64,8 +85,10 @@ func TestAnswersForAnotherCellFallBackToLocal(t *testing.T) {
 	smtCfg := smt.DefaultConfig()
 	smtCfg.MaxCycles = 2000
 	mix := workload.MixByName("ijpeg+li")
+	vpParams := sim.DefaultVPredParams(2000)
 	keep := func(*sim.Spec) {}
 	keepSMT := func(*smt.Config) {}
+	firstCell := func(int) int { return 0 }
 
 	// runSpec runs the spec through Matrix, so an answer filed under
 	// another matrix cell shows as the requested cell going missing.
@@ -87,21 +110,37 @@ func TestAnswersForAnotherCellFallBackToLocal(t *testing.T) {
 		}
 		return g.Cells[0].Cycles, nil
 	}
+	runVPred := func(ctx context.Context, c *Coordinator) (int64, error) {
+		g, err := c.VPredGrid(ctx, []string{"li"}, []string{"stride"}, vpParams)
+		if err != nil {
+			return 0, err
+		}
+		_, all := g.Lookup("li", "stride", false)
+		_, sel := g.Lookup("li", "stride", true)
+		if len(g.Cells) != 2 || !all || !sel {
+			return 0, fmt.Errorf("vpred: %d cells, all-instructions present %v, selective present %v", len(g.Cells), all, sel)
+		}
+		return g.Cells[0].Insts, nil
+	}
 	for _, tc := range []struct {
 		name      string
 		mutate    func(*sim.Spec)
 		mutateSMT func(*smt.Config)
 		run       func(context.Context, *Coordinator) (int64, error)
-		remote    bool // whether the fake's answer should be merged
+		remote    bool          // whether the fake's answer should be merged
+		cell      func(int) int // the fake's study-cell hook (nil: as asked)
 	}{
-		{"run answered as asked", keep, keepSMT, runSpec, true},
-		{"run answered for max_insts+1", func(s *sim.Spec) { s.MaxInsts++ }, keepSMT, runSpec, false},
-		{"run answered with cut_at_loads", func(s *sim.Spec) { s.CutAtLoads = true }, keepSMT, runSpec, false},
-		{"smt answered as asked", keep, keepSMT, runSMT, true},
-		{"smt answered under another window", keep, func(c *smt.Config) { c.Window++ }, runSMT, false},
+		{"run answered as asked", keep, keepSMT, runSpec, true, nil},
+		{"run answered for max_insts+1", func(s *sim.Spec) { s.MaxInsts++ }, keepSMT, runSpec, false, nil},
+		{"run answered with cut_at_loads", func(s *sim.Spec) { s.CutAtLoads = true }, keepSMT, runSpec, false, nil},
+		{"smt answered as asked", keep, keepSMT, runSMT, true, nil},
+		{"smt answered under another window", keep, func(c *smt.Config) { c.Window++ }, runSMT, false, nil},
+		{"smt answered with the first policy thrice", keep, keepSMT, runSMT, false, firstCell},
+		{"vpred answered as asked", keep, keepSMT, runVPred, true, nil},
+		{"vpred answered with two all-instructions cells", keep, keepSMT, runVPred, false, firstCell},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ts := fakeWorker(t, tc.mutate, tc.mutateSMT)
+			ts := fakeWorker(t, tc.mutate, tc.mutateSMT, tc.cell)
 			c := &Coordinator{Local: &sim.Engine{}, Client: ts.Client(), Backoff: time.Millisecond}
 			c.SetWorkers([]string{ts.URL})
 			got, err := tc.run(context.Background(), c)

@@ -531,7 +531,8 @@ func (c *Coordinator) Matrix(ctx context.Context, benches []string, depths []int
 // is the mix's first policy cell's study key: any of the mix's cells pins
 // the full configuration, and one stable choice keeps the mix's placement
 // (and so its cache locality) consistent. The answer must carry the
-// asked-for model configuration and one cell per policy, all of the mix.
+// asked-for model configuration and one cell of the mix per policy, in
+// sim.SMTPolicies order (RunSMTGrid's run order).
 func smtJob(mix workload.Mix, cfg smt.Config) job[sim.SMTGrid] {
 	key, err := sim.StudyKey(sim.SMTStudy{Mix: mix, Policy: sim.SMTPolicies[0], Config: cfg})
 	return job[sim.SMTGrid]{
@@ -547,9 +548,9 @@ func smtJob(mix workload.Mix, cfg smt.Config) job[sim.SMTGrid] {
 			if len(g.Cells) != len(sim.SMTPolicies) {
 				return fmt.Errorf("answered %d cells for mix %s, want %d", len(g.Cells), mix.Name, len(sim.SMTPolicies))
 			}
-			for _, cell := range g.Cells {
-				if cell.Mix != mix.Name {
-					return fmt.Errorf("answered for mix %s, asked for %s", cell.Mix, mix.Name)
+			for i, cell := range g.Cells {
+				if want := sim.SMTPolicies[i].String(); cell.Mix != mix.Name || cell.Policy != want {
+					return fmt.Errorf("answered cell %d for %s/%s, asked for %s/%s", i, cell.Mix, cell.Policy, mix.Name, want)
 				}
 			}
 			return nil
@@ -583,7 +584,8 @@ func (c *Coordinator) SMTGrid(ctx context.Context, mixes []workload.Mix, cfg smt
 // vpredJob is one (bench × predictor) pair: a one-pair POST
 // /v1/study/vpred (its all/selective cells share the bench's trace),
 // placed by the pair's all-instructions study key. The answer must carry
-// the asked-for parameters and both cells of the pair.
+// the asked-for parameters and both cells of the pair, all-instructions
+// first, then selective (RunVPredGrid's run order).
 func vpredJob(bench, pred string, params sim.VPredParams) job[sim.VPredGrid] {
 	key, err := sim.StudyKey(sim.VPredStudy{Bench: bench, Predictor: pred, Selective: false, Params: params})
 	return job[sim.VPredGrid]{
@@ -602,9 +604,10 @@ func vpredJob(bench, pred string, params sim.VPredParams) job[sim.VPredGrid] {
 			if len(g.Cells) != 2 {
 				return fmt.Errorf("answered %d cells for %s/%s, want 2", len(g.Cells), bench, pred)
 			}
-			for _, cell := range g.Cells {
-				if cell.Bench != bench || cell.Predictor != pred {
-					return fmt.Errorf("answered for %s/%s, asked for %s/%s", cell.Bench, cell.Predictor, bench, pred)
+			for i, cell := range g.Cells {
+				if sel := i == 1; cell.Bench != bench || cell.Predictor != pred || cell.Selective != sel {
+					return fmt.Errorf("answered cell %d for %s/%s (selective %v), asked for %s/%s (selective %v)",
+						i, cell.Bench, cell.Predictor, cell.Selective, bench, pred, sel)
 				}
 			}
 			return nil

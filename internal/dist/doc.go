@@ -30,9 +30,11 @@
 // check the answer, retry, fall back to local. A kind contributes only a
 // job constructor — its key, request, answer check and local
 // computation. The answer check compares the whole cell identity (the
-// full Spec; the SMT model config; the vpred parameters), so a worker
-// answering for any other cell — another budget, another ablation knob,
-// a build with other study defaults — is a failed attempt, not data.
+// full Spec; the SMT model config; the vpred parameters; each study
+// cell's mix or bench, policy or predictor and selection, in run order),
+// so a worker answering for any other cell — another budget, another
+// ablation knob, a build with other study defaults, a duplicated study
+// cell — is a failed attempt, not data.
 //
 // Failure handling is bounded and local: a failed or timed-out job is
 // retried on the next worker in its preference order with exponential

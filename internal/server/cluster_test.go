@@ -278,10 +278,10 @@ func TestClusterStreamMatchesBlocking(t *testing.T) {
 }
 
 // TestClusterSharedCacheDir runs two workers over one cache directory
-// (the NFS-mount deployment DirKV's atomic writes exist for): the cold
-// sweep is byte-identical, and on the warm repeat either worker serves
-// any cell straight from the shared store — zero recompute, even where
-// rendezvous placement moved.
+// (the NFS-mount deployment the storage tier's atomic writes exist
+// for): the cold sweep is byte-identical, and on the warm repeat either
+// worker serves any cell straight from the shared store — zero
+// recompute, even where rendezvous placement moved.
 func TestClusterSharedCacheDir(t *testing.T) {
 	want := singleNodeBaseline(t, "/v1/matrix", fullMatrixBody)
 	shared := t.TempDir()

@@ -183,8 +183,7 @@ func (s *Server) handleWorkersPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req registerRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	u, err := url.Parse(req.URL)

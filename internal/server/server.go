@@ -31,8 +31,9 @@
 //     content fingerprints the result cache uses), so a thundering herd
 //     of identical queries costs one simulation.
 //   - Bounds: Config.MaxInflight caps concurrent computations (excess
-//     requests get 429 immediately) and Config.MaxTotalInsts caps the
-//     total instruction budget a single request may demand (400).
+//     requests get 429 immediately), Config.MaxTotalInsts caps the
+//     total instruction budget a single request may demand (400), and a
+//     JSON request body is read to at most 1 MiB (413).
 //
 // Validation reuses internal/sim's shared rules, so a bad value is
 // rejected with exactly the message the CLIs print for the same mistake.
@@ -295,15 +296,28 @@ func (s *Server) coalesce(w http.ResponseWriter, key string, compute func() *res
 	writeResponse(w, resp, shared)
 }
 
-// decodeBody strictly decodes a JSON request body (unknown fields are
-// errors: a typoed knob must not silently fall back to a default).
-func decodeBody(r *http.Request, into any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps a JSON request body. The largest legitimate request
+// (a matrix naming every benchmark, depth and mode) is under a kilobyte.
+const maxBodyBytes = 1 << 20
+
+// decodeBody strictly decodes a JSON request body of at most
+// maxBodyBytes (unknown fields are errors: a typoed knob must not
+// silently fall back to a default). On failure it writes the 400, or the
+// 413 for an oversized body, and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		return fmt.Errorf("bad request body: %v", err)
+	err := dec.Decode(into)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+	default:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 	}
-	return nil
+	return false
 }
 
 // checkBudget enforces the per-request total-instruction cap. The
@@ -356,6 +370,7 @@ type storageHealth struct {
 	CacheMemEntries int   `json:"cache_mem_entries"`
 	CacheTrips      int64 `json:"cache_trips"`
 	TraceDegraded   bool  `json:"trace_degraded"`
+	TraceMemEntries int   `json:"trace_mem_entries"`
 	TraceTrips      int64 `json:"trace_trips"`
 }
 
@@ -390,6 +405,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if t := s.cfg.Engine.Traces; t != nil {
 		st.TraceDegraded = t.Degraded()
+		st.TraceMemEntries = t.MemEntries()
 		st.TraceTrips = t.Breaker().Trips()
 	}
 	status := "ok"
@@ -464,8 +480,7 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	req := dist.RunRequest{Bench: "m88ksim", Depth: 20, Mode: "arvi-current"}
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.MaxInsts <= 0 {
@@ -522,8 +537,7 @@ type matrixRequest struct {
 
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	var req matrixRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Benches) == 0 {
@@ -601,8 +615,7 @@ func (s *Server) runMatrix(ctx context.Context, benches []string, depths []int, 
 
 func (s *Server) handleSMT(w http.ResponseWriter, r *http.Request) {
 	var req dist.SMTRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	cfg := smt.DefaultConfig()
@@ -653,8 +666,7 @@ func (s *Server) handleSMT(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleVPred(w http.ResponseWriter, r *http.Request) {
 	var req dist.VPredRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Benches) == 0 {

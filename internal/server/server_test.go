@@ -320,6 +320,12 @@ func TestValidationErrorsMatchCLI(t *testing.T) {
 			wantStatus: http.StatusBadRequest,
 			wantMsg:    `bad request body: json: unknown field "benchh"`,
 		},
+		{
+			name: "body padded past the cap", path: "/v1/run",
+			body:       strings.Repeat(" ", maxBodyBytes) + `{"bench":"li","depth":20,"mode":"arvi-current"}`,
+			wantStatus: http.StatusRequestEntityTooLarge,
+			wantMsg:    "request body exceeds 1048576 bytes",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,11 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"path/filepath"
 	"reflect"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cpu"
 	"repro/internal/storage"
@@ -29,44 +25,19 @@ const cacheVersion = 1
 // instruction budget — misses cleanly instead of serving stale
 // statistics.
 //
-// Every entry, whatever its kind or source, passes one decode gate that
-// checks version, key, kind and payload checksum. Corrupt, unreadable or
+// The cache is key derivation plus the entry codec over a storage.Tier,
+// which it embeds: the tier owns the files, the circuit breaker, the
+// degraded-mode overlay and its flush, and the peer tier (Dir, Degraded,
+// Breaker, MemEntries, Len, SetPeers, PeerHits, PeerPushes and Raw are
+// the tier's). Every entry, whatever its kind or source — local disk,
+// the overlay, or a cache peer — passes one decode gate that checks
+// version, key, kind and payload checksum. Corrupt, unreadable or
 // mismatched entries (truncated writes, hand-edited files, format drift,
-// another kind's entry under the key) are treated as misses and removed,
-// so a damaged cache heals itself on the next run.
-//
-// Disk access goes through a storage.KV backend (storage.DirKV over a
-// storage.FS) behind a circuit breaker: after a run of consecutive disk
-// faults the cache degrades to a memory-only overlay instead of erroring
-// every request, probing the disk on later writes. A failed write parks
-// its entry in the overlay, and the next successful write — a probe, or
-// a plain write-through when the failure never tripped the breaker —
-// flushes the overlay back to disk. Entries are keyed by content hash,
-// so an overlay entry is exactly the bytes the disk would have held —
-// degraded mode changes durability, never results.
-//
-// A cache may additionally be given a *peer* backend (SetPeers) — in a
-// worker cluster, the other daemons' caches reachable over the HTTP
-// cache-peer protocol. A local miss then asks the peers before
-// simulating, and a fetched entry is validated exactly like a local one
-// (envelope key, version, kind, payload checksum) before it is trusted or
-// replicated to local disk, so a malformed or corrupt peer response
-// degrades to a miss — it can never poison the cache. The protocol is
-// documented in DESIGN.md's distributed execution section.
+// another kind's entry under the key) are misses the tier removes, so a
+// damaged cache heals itself on the next run, and a malformed peer
+// response can never be served or replicated.
 type Cache struct {
-	dir   string
-	local *storage.DirKV
-	brk   *storage.Breaker
-
-	peersMu sync.RWMutex
-	peers   storage.KV // nil: no peer tier
-	push    bool       // replicate fresh entries to peers on Put
-
-	peerHits   atomic.Int64
-	peerPushes atomic.Int64
-
-	mu  sync.Mutex
-	mem map[string][]byte // overlay of entries the disk refused
+	*storage.Tier
 }
 
 // OpenCache opens (creating if needed) a cache rooted at dir on the real
@@ -79,56 +50,11 @@ func OpenCache(dir string) (*Cache, error) {
 // (nil selects a default breaker). Chaos tests use it to run the cache
 // against a fault-injecting FS; production callers use OpenCache.
 func OpenCacheFS(dir string, fsys storage.FS, brk *storage.Breaker) (*Cache, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("sim: empty cache directory")
-	}
-	if brk == nil {
-		brk = storage.NewBreaker(0, 0)
-	}
-	local, err := storage.NewDirKV(dir, fsys, ".json")
+	t, err := storage.OpenTier(dir, ".json", fsys, brk)
 	if err != nil {
 		return nil, fmt.Errorf("sim: open cache: %w", err)
 	}
-	return &Cache{dir: dir, local: local, brk: brk, mem: make(map[string][]byte)}, nil
-}
-
-// SetPeers attaches a peer backend consulted on local misses (typically
-// a storage.PeerKV over the other workers' daemons). When push is true,
-// every freshly computed entry is additionally replicated to the peers,
-// best-effort, so a cluster warms proactively instead of on demand.
-// Call before serving; concurrent calls are safe.
-func (c *Cache) SetPeers(peers storage.KV, push bool) {
-	c.peersMu.Lock()
-	c.peers = peers
-	c.push = push
-	c.peersMu.Unlock()
-}
-
-// PeerHits reports how many entries were served from the peer tier over
-// the cache's lifetime.
-func (c *Cache) PeerHits() int64 { return c.peerHits.Load() }
-
-// PeerPushes reports how many fresh entries were successfully replicated
-// to the peer tier.
-func (c *Cache) PeerPushes() int64 { return c.peerPushes.Load() }
-
-// Dir returns the cache root.
-func (c *Cache) Dir() string { return c.dir }
-
-// Degraded reports whether the circuit breaker is open and the cache is
-// serving memory-only.
-func (c *Cache) Degraded() bool { return c.brk.Open() }
-
-// Breaker exposes the cache's circuit breaker (for health reporting and
-// tests).
-func (c *Cache) Breaker() *storage.Breaker { return c.brk }
-
-// MemEntries reports how many entries currently live only in the
-// degraded-mode overlay.
-func (c *Cache) MemEntries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.mem)
+	return &Cache{t}, nil
 }
 
 // Key returns the cache key for a spec: a hex SHA-256 over the spec's
@@ -211,73 +137,6 @@ func statsSum(stats any) string {
 	return fmt.Sprintf("%x", sha256.Sum256(b))
 }
 
-// load fetches an entry's bytes: the degraded overlay first, then disk.
-// Disk is skipped entirely while the breaker is open (memory-only mode),
-// and a disk *fault* — any read error other than plain not-exist — feeds
-// the breaker.
-func (c *Cache) load(key string) ([]byte, bool) {
-	c.mu.Lock()
-	b, ok := c.mem[key]
-	c.mu.Unlock()
-	if ok {
-		return b, true
-	}
-	if c.brk.Open() {
-		return nil, false
-	}
-	b, err := c.local.Get(key)
-	if err != nil {
-		if !storage.IsNotExist(err) {
-			c.brk.Failure()
-		}
-		return nil, false
-	}
-	return b, true
-}
-
-// fetchPeer asks the peer tier for an entry's bytes. Any peer failure —
-// unreachable, wrong status, oversized payload — is an ordinary miss:
-// peers accelerate, they never block.
-func (c *Cache) fetchPeer(key string) ([]byte, bool) {
-	c.peersMu.RLock()
-	peers := c.peers
-	c.peersMu.RUnlock()
-	if peers == nil {
-		return nil, false
-	}
-	b, err := peers.Get(key)
-	if err != nil {
-		return nil, false
-	}
-	return b, true
-}
-
-// pushPeer replicates a freshly stored entry to the peer tier when push
-// replication is on. Best-effort by contract: the local tier is the
-// durable one, and a peer that missed the push simply fetches on demand.
-func (c *Cache) pushPeer(key string, b []byte) {
-	c.peersMu.RLock()
-	peers, push := c.peers, c.push
-	c.peersMu.RUnlock()
-	if peers == nil || !push {
-		return
-	}
-	if err := peers.Put(key, b); err == nil {
-		c.peerPushes.Add(1)
-	}
-}
-
-// discard drops a corrupt or stale entry from the overlay and (when the
-// disk is believed healthy) from disk, so the next Put rewrites it.
-func (c *Cache) discard(key string) {
-	c.mu.Lock()
-	delete(c.mem, key)
-	c.mu.Unlock()
-	if !c.brk.Open() {
-		_ = c.local.Delete(key) // best-effort; a leftover entry re-heals on next read
-	}
-}
-
 // decodeEntry validates an entry's bytes against the key and kind they
 // claim to answer — envelope shape, format version, self-described key
 // and kind, and the payload checksum — decoding the stats into out (a
@@ -303,32 +162,16 @@ func decodeEntry(key, kind string, b []byte, out any) bool {
 }
 
 // get decodes the entry for key into out, reporting whether an intact
-// entry of the kind was present — served from the local tier first, then
-// fetched (and validated, and replicated locally) from the cache peers.
-// A corrupt or mismatched local entry is removed, so the cache heals.
+// entry of the kind was present — locally or, failing that, at a cache
+// peer (the tier stores an accepted peer entry locally).
 func (c *Cache) get(key, kind string, out any) bool {
-	if b, ok := c.load(key); ok {
-		if decodeEntry(key, kind, b, out) {
-			return true
-		}
-		c.discard(key)
-	}
-	if b, ok := c.fetchPeer(key); ok && decodeEntry(key, kind, b, out) {
-		// Replicate the validated bytes locally so the next hit is local;
-		// a store failure parks them in the overlay via the usual breaker
-		// path and is deliberately not surfaced here.
-		_ = c.store(key, b)
-		c.peerHits.Add(1)
-		return true
-	}
-	return false
+	return c.Tier.Get(key, func(b []byte) bool { return decodeEntry(key, kind, b, out) })
 }
 
-// put stores one cell's entry. The write is atomic (temp file + rename)
-// so a crash mid-write leaves either the old entry or none — never a
-// torn file that a later read would half-trust. While the circuit
-// breaker is open the entry lands in the memory overlay instead and put
-// reports success: degraded mode trades durability for availability.
+// put stores one cell's entry through the tier: atomically on disk, or
+// parked in the overlay while the disk is refusing writes (degraded mode
+// trades durability for availability), and replicated to the peers in
+// push mode.
 func (c *Cache) put(key, kind string, identity, stats any) error {
 	b, err := json.MarshalIndent(entry{
 		Version: cacheVersion, Key: key, Sum: statsSum(stats), Kind: kind, Identity: identity, Stats: stats,
@@ -336,13 +179,7 @@ func (c *Cache) put(key, kind string, identity, stats any) error {
 	if err != nil {
 		return fmt.Errorf("sim: cache put %s: %w", kind, err)
 	}
-	err = c.store(key, b)
-	// Fresh computes (and only those — peer-fetched entries came from the
-	// cluster and are not echoed back) replicate to the peers when push
-	// mode is on, regardless of local durability: a broken local disk is
-	// exactly when the cluster copy matters most.
-	c.pushPeer(key, b)
-	return err
+	return c.Tier.Put(key, b)
 }
 
 // Get returns the cached stats for spec, if present and intact.
@@ -372,96 +209,6 @@ func (c *Cache) PutStudy(s Study, stats any) error {
 	return c.put(key, s.Kind(), json.RawMessage(id), stats)
 }
 
-// store lands an entry's bytes, routing around a broken disk:
-//
-//   - breaker closed: write through; a failure feeds the breaker, parks
-//     the bytes in the overlay (the result itself is not lost) and is
-//     reported to the caller.
-//   - breaker open, no probe due: overlay only, silently.
-//   - breaker open, probe granted: write through; a failure feeds the
-//     breaker and parks the bytes silently.
-//
-// Every successful write drops the key from the overlay and flushes any
-// other parked entries back to disk, so an entry parked by a failure the
-// breaker never tripped on is not left memory-only.
-func (c *Cache) store(key string, b []byte) error {
-	open := c.brk.Open()
-	if open && !c.brk.Allow() {
-		c.putMem(key, b)
-		return nil
-	}
-	if err := c.writeAtomic(key, b); err != nil {
-		c.brk.Failure()
-		c.putMem(key, b)
-		if open {
-			return nil
-		}
-		return err
-	}
-	c.brk.Success()
-	c.mu.Lock()
-	delete(c.mem, key)
-	parked := len(c.mem)
-	c.mu.Unlock()
-	if parked > 0 {
-		c.flush()
-	}
-	return nil
-}
-
-// putMem parks an entry in the degraded-mode overlay.
-func (c *Cache) putMem(key string, b []byte) {
-	c.mu.Lock()
-	c.mem[key] = b
-	c.mu.Unlock()
-}
-
-// flush writes every overlay entry back to disk (in sorted key order, so
-// recovery is deterministic), dropping each from the overlay as it
-// lands. A failure mid-flush feeds the breaker and leaves the remainder
-// parked for the next successful probe.
-func (c *Cache) flush() {
-	c.mu.Lock()
-	keys := make([]string, 0, len(c.mem))
-	//arvi:unordered keys are sorted before use
-	for k := range c.mem {
-		keys = append(keys, k)
-	}
-	pending := make(map[string][]byte, len(keys))
-	for _, k := range keys {
-		pending[k] = c.mem[k]
-	}
-	c.mu.Unlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := c.writeAtomic(k, pending[k]); err != nil {
-			c.brk.Failure()
-			return
-		}
-		c.mu.Lock()
-		delete(c.mem, k)
-		c.mu.Unlock()
-	}
-}
-
-// writeAtomic lands an entry's bytes under its key through the local
-// backend's atomic temp+rename contract (see storage.DirKV.Put: no torn
-// files, no *.tmp orphans on failure).
-func (c *Cache) writeAtomic(key string, b []byte) error {
-	if err := c.local.Put(key, b); err != nil {
-		return fmt.Errorf("sim: cache put: %w", err)
-	}
-	return nil
-}
-
-// Raw returns the stored entry bytes for a key — overlay first, then the
-// local backend — without interpreting them. It is the read side of the
-// HTTP cache-peer protocol: the requester validates what it fetched, so
-// serving raw bytes is safe by construction.
-func (c *Cache) Raw(key string) ([]byte, bool) {
-	return c.load(key)
-}
-
 // rawEnvelope is the part of an entry a peer-supplied payload must get
 // right before PutRaw will store it: the format version and the
 // self-described key. The payload checksum is deliberately not
@@ -475,8 +222,9 @@ type rawEnvelope struct {
 }
 
 // PutRaw validates and stores entry bytes received over the cache-peer
-// protocol. The bytes must be a JSON entry whose envelope matches the
-// key they were pushed under; anything else is rejected so a confused or
+// protocol, locally only (a pushed entry is not echoed back to the
+// peers). The bytes must be a JSON entry whose envelope matches the key
+// they were pushed under; anything else is rejected so a confused or
 // malicious peer cannot plant entries under foreign keys.
 func (c *Cache) PutRaw(key string, b []byte) error {
 	var env rawEnvelope
@@ -489,14 +237,5 @@ func (c *Cache) PutRaw(key string, b []byte) error {
 	if env.Key != key {
 		return fmt.Errorf("sim: cache peer put: entry describes key %.16s..., pushed under %.16s...", env.Key, key)
 	}
-	return c.store(key, b)
-}
-
-// Len counts the entries currently on disk.
-func (c *Cache) Len() (int, error) {
-	matches, err := filepath.Glob(filepath.Join(c.dir, "*.json"))
-	if err != nil {
-		return 0, err
-	}
-	return len(matches), nil
+	return c.PutLocal(key, b)
 }

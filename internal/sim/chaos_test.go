@@ -391,6 +391,51 @@ func TestChaosTraceStoreDegradedModeRecovers(t *testing.T) {
 	assertNoTmpOrphans(t, "degraded tracestore", dir)
 }
 
+// TestChaosTraceStoreWritesBackAfterRecovery pins the trace store's
+// degraded-mode write-back: a trace recorded while the disk refuses
+// writes parks in the tier's overlay, the first successful probe after
+// the disk heals flushes it, and a fresh store then reads it from disk
+// instead of running the VM.
+func TestChaosTraceStoreWritesBackAfterRecovery(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "traces")
+	ffs := storage.NewFaultFS(storage.OS{})
+	now := time.Unix(1000, 0)
+	brk := storage.NewBreaker(1, time.Minute)
+	brk.Clock = func() time.Time { return now }
+	s, err := OpenTraceStoreFS(dir, 0, ffs, brk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs.Break()
+	b := workload.ByName("li").Prog
+	if _, err := s.Get(context.Background(), b, 500); err != nil {
+		t.Fatalf("persist failures must stay non-fatal: %v", err)
+	}
+	if !s.Degraded() || s.MemEntries() != 1 {
+		t.Fatalf("degraded = %v, parked traces = %d; want true, 1", s.Degraded(), s.MemEntries())
+	}
+
+	ffs.Heal()
+	now = now.Add(2 * time.Minute)
+	if _, err := s.Get(context.Background(), b, 600); err != nil {
+		t.Fatal(err)
+	}
+	if s.Degraded() || s.MemEntries() != 0 {
+		t.Fatalf("after the probe: degraded = %v, parked traces = %d; want false, 0", s.Degraded(), s.MemEntries())
+	}
+	fresh, err := OpenTraceStoreFS(dir, 0, storage.OS{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Get(context.Background(), b, 500); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.DiskHits() != 1 || fresh.Recorded() != 0 {
+		t.Errorf("parked trace not written back: diskHits %d, recorded %d; want 1, 0", fresh.DiskHits(), fresh.Recorded())
+	}
+	assertNoTmpOrphans(t, "trace write-back", dir)
+}
+
 // TestChaosDegradedEngineEndToEnd is the acceptance scenario: the cache
 // directory becomes unwritable mid-run, the sweep still completes with
 // correct results, subsequent runs serve from the memory overlay, and a

@@ -40,10 +40,12 @@
 //     coordinator share.
 //   - Engine.RunConfThresholdSweep / Engine.RunCutAtLoadsSweep — the
 //     ablation sweeps (DESIGN.md ablation A1 and the JRS threshold).
-//   - OpenCache / OpenTraceStore — the two persistence tiers (per-cell
-//     results; record-once/replay-many traces), shared by every front
-//     end: cmd/experiments, cmd/arvisim and the HTTP service
-//     (internal/server via cmd/arvid).
+//   - OpenCache / OpenTraceStore — the two stores (per-cell results;
+//     record-once/replay-many traces), shared by every front end:
+//     cmd/experiments, cmd/arvisim and the HTTP service (internal/server
+//     via cmd/arvid). Both are key derivation plus a codec over one
+//     storage.Tier, which owns the disk-fault protocol (circuit breaker,
+//     degraded-mode overlay and flush), self-healing and the cache peers.
 //   - ParseMode / ValidateSpec and friends (validate.go) — the shared
 //     user-input rules, so every front end rejects a bad value with the
 //     same message.

@@ -31,7 +31,6 @@ func (p *fuzzPeerKV) Put(key string, b []byte) error {
 	p.data[key] = append([]byte(nil), b...)
 	return nil
 }
-func (p *fuzzPeerKV) Delete(key string) error { delete(p.data, key); return nil }
 
 var fuzzStats = cpu.Stats{Insts: 5000, Cycles: 7001, CondBranches: 900, Mispredicts: 41}
 

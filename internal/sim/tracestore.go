@@ -35,19 +35,21 @@ const DefaultTraceMemBudget = 256 << 20
 //     eviction, so sweeps over many distinct programs or budgets do not
 //     grow without bound. Evicted traces stay valid for replayers already
 //     holding them (they hold the slice; the store merely drops its ref).
-//   - With a backing directory, recorded traces persist on disk
-//     (atomically, checksummed, self-healing on corruption) and later
-//     runs — or other processes — reload them instead of re-executing
-//     the VM.
-//   - Disk access goes through a storage.DirKV (the result cache's disk
-//     backend, here with .trc files) over a storage.FS, behind a circuit
-//     breaker: after consecutive disk faults the store stops touching the
-//     disk and serves recordings memory-only, probing on later persists
-//     until the disk recovers. Degraded mode affects durability only —
-//     the trace bytes served are identical either way.
+//   - With a backing directory, recorded traces persist on disk through
+//     a storage.Tier (.trc files; the tier the result Cache runs on), so
+//     later runs — or other processes — reload them instead of
+//     re-executing the VM. The store keeps only the codec: each file is a
+//     SHA-256 of the trace bytes followed by the bytes, and a file that
+//     fails the checksum or the decode is removed and re-recorded
+//     (self-heal). The tier owns the rest of the disk-fault protocol:
+//     while its circuit breaker is open the disk is skipped and a fresh
+//     recording parks, encoded, in the tier's memory overlay (a trace
+//     evicted from memory then decodes from there), and the next
+//     successful write flushes it to disk. Degraded mode affects
+//     durability only — the trace bytes served are identical either way.
 type TraceStore struct {
-	dir       string         // "" = memory-only
-	disk      *storage.DirKV // nil for a memory-only store
+	dir       string        // "" = memory-only
+	tier      *storage.Tier // nil for a memory-only store
 	brk       *storage.Breaker
 	memBudget int64
 
@@ -96,26 +98,18 @@ func OpenTraceStoreFS(dir string, memBudget int64, fsys storage.FS, brk *storage
 	if memBudget <= 0 {
 		memBudget = DefaultTraceMemBudget
 	}
-	if fsys == nil {
-		fsys = storage.OS{}
-	}
 	if brk == nil {
 		brk = storage.NewBreaker(0, 0)
 	}
-	var disk *storage.DirKV
+	s := &TraceStore{dir: dir, brk: brk, memBudget: memBudget, entries: make(map[traceKey]*traceEntry)}
 	if dir != "" {
-		if err := fsys.MkdirAll(dir, 0o755); err != nil {
+		t, err := storage.OpenTier(dir, traceExt, fsys, brk)
+		if err != nil {
 			return nil, fmt.Errorf("sim: open trace store: %w", err)
 		}
-		disk = &storage.DirKV{Dir: dir, FS: fsys, Ext: ".trc"}
+		s.tier = t
 	}
-	return &TraceStore{
-		dir:       dir,
-		disk:      disk,
-		brk:       brk,
-		memBudget: memBudget,
-		entries:   make(map[traceKey]*traceEntry),
-	}, nil
+	return s, nil
 }
 
 // Dir returns the backing directory ("" for a memory-only store).
@@ -123,7 +117,7 @@ func (s *TraceStore) Dir() string { return s.dir }
 
 // Degraded reports whether the circuit breaker is open and the store is
 // serving memory-only despite having a backing directory.
-func (s *TraceStore) Degraded() bool { return s.dir != "" && s.brk.Open() }
+func (s *TraceStore) Degraded() bool { return s.tier != nil && s.tier.Degraded() }
 
 // Breaker exposes the store's circuit breaker (for health reporting and
 // tests).
@@ -137,13 +131,24 @@ func (s *TraceStore) Recorded() int64 { return s.recorded.Load() }
 // (including waiters coalesced onto an in-flight recording).
 func (s *TraceStore) MemHits() int64 { return s.memHits.Load() }
 
-// DiskHits reports requests served by decoding a previously persisted
-// trace file.
+// DiskHits reports requests served by decoding a stored trace: a file
+// on disk, or an encoding parked in the tier's overlay.
 func (s *TraceStore) DiskHits() int64 { return s.diskHits.Load() }
 
-// PersistErrs reports best-effort disk writes that failed; the traces
-// stayed served from memory.
+// PersistErrs reports the trace writes the tier reported as failed —
+// those that failed while the breaker was closed (a failed probe is
+// silent). Each such trace stayed served from memory and parked for the
+// next successful write.
 func (s *TraceStore) PersistErrs() int64 { return s.persistErrs.Load() }
+
+// MemEntries reports how many encoded traces are parked in the tier's
+// overlay, waiting for the disk (0 for a memory-only store).
+func (s *TraceStore) MemEntries() int {
+	if s.tier == nil {
+		return 0
+	}
+	return s.tier.MemEntries()
+}
 
 // Entries reports how many decoded traces are currently resident.
 func (s *TraceStore) Entries() int {
@@ -164,11 +169,14 @@ func (s *TraceStore) MemUsed() int64 {
 //
 //arvi:det
 func (s *TraceStore) Path(p *prog.Program, budget int64) string {
-	return filepath.Join(s.dir, diskKey(p, budget)+".trc")
+	return filepath.Join(s.dir, diskKey(p, budget)+traceExt)
 }
 
+// traceExt is the extension of the store's trace files.
+const traceExt = ".trc"
+
 // diskKey names a program/budget pair's trace file in the store's
-// directory (without the .trc extension the DirKV appends).
+// directory (without the extension).
 //
 //arvi:det
 func diskKey(p *prog.Program, budget int64) string {
@@ -226,30 +234,26 @@ func (s *TraceStore) Get(ctx context.Context, p *prog.Program, budget int64) (*t
 	return e.dec, e.err
 }
 
-// acquire produces the decoded trace from disk if possible, else by
-// running the functional VM once (persisting the result best-effort).
-// Disk is skipped entirely while the circuit breaker is open, except for
-// one persist probe per probation window.
+// acquire produces the decoded trace from the tier (overlay or disk) if
+// possible, else by running the functional VM once and storing the
+// result through the tier.
 func (s *TraceStore) acquire(p *prog.Program, budget int64) (*trace.Decoded, error) {
 	key := diskKey(p, budget)
-	if s.disk != nil && !s.brk.Open() {
-		if b, err := s.disk.Get(key); err == nil {
-			if payload, ok := checkSummed(b); ok {
-				dec, derr := trace.Decode(p, bytes.NewReader(payload))
-				if derr == nil {
-					s.diskHits.Add(1)
-					return dec, nil
-				}
-			}
-			// Corrupt, truncated or foreign file under our name — including
-			// a bit-corrupted read the trace format itself cannot detect
-			// (event payloads carry no per-record redundancy), which is why
-			// store files are checksummed: remove it and fall through to a
-			// fresh recording (self-heal, like the result cache).
-			_ = s.disk.Delete(key)
-		} else if !storage.IsNotExist(err) {
-			s.brk.Failure() // a disk fault, not an ordinary miss
+	var dec *trace.Decoded
+	if s.tier != nil && s.tier.Get(key, func(b []byte) bool {
+		// A bit-corrupted read the trace format itself cannot detect
+		// (event payloads carry no per-record redundancy) fails the
+		// checksum instead; a rejected file is removed and re-recorded.
+		payload, ok := checkSummed(b)
+		if !ok {
+			return false
 		}
+		var err error
+		dec, err = trace.Decode(p, bytes.NewReader(payload))
+		return err == nil
+	}) {
+		s.diskHits.Add(1)
+		return dec, nil
 	}
 	s.recorded.Add(1)
 	dec, err := trace.RecordAll(p, budget)
@@ -258,16 +262,9 @@ func (s *TraceStore) acquire(p *prog.Program, budget int64) (*trace.Decoded, err
 		// full spec.
 		return nil, fmt.Errorf("recording trace of %q: %w", p.Name, err)
 	}
-	if s.disk != nil {
-		if s.brk.Open() && !s.brk.Allow() {
-			// Degraded and no probe due: serve from memory, skip the disk.
-			return dec, nil
-		}
-		if err := s.persist(dec, key); err != nil {
+	if s.tier != nil {
+		if err := s.tier.Put(key, encodeSummed(dec)); err != nil {
 			s.persistErrs.Add(1) // non-fatal: the trace serves from memory
-			s.brk.Failure()
-		} else {
-			s.brk.Success()
 		}
 	}
 	return dec, nil
@@ -290,19 +287,17 @@ func checkSummed(b []byte) ([]byte, bool) {
 	return b[sha256.Size:], true
 }
 
-// persist writes the checksummed trace through the store's DirKV, whose
-// atomic temp-file + rename write leaves either a complete file or none,
-// and no *.tmp orphan on failure.
-func (s *TraceStore) persist(dec *trace.Decoded, key string) error {
+// encodeSummed encodes a trace as a store file: the checksum slot, then
+// the trace bytes. The buffer is handed to the tier as is (it may park
+// it), so the 6 MB default-budget encoding is never copied.
+func encodeSummed(dec *trace.Decoded) []byte {
 	var buf bytes.Buffer
 	buf.Write(make([]byte, sha256.Size)) // checksum slot, filled below
-	if _, err := dec.WriteTo(&buf); err != nil {
-		return err
-	}
+	_, _ = dec.WriteTo(&buf)             // a bytes.Buffer write cannot fail
 	b := buf.Bytes()
 	sum := sha256.Sum256(b[sha256.Size:])
 	copy(b, sum[:])
-	return s.disk.Put(key, b)
+	return b
 }
 
 // evictLocked drops least-recently-used completed traces until the

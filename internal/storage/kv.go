@@ -7,89 +7,26 @@ import (
 	"io"
 	"io/fs"
 	"net/http"
-	"path/filepath"
 	"strings"
 	"time"
 )
 
-// KV is the content-addressed entry backend the result cache stores its
-// records through. Keys are hex content hashes (the cache's own
+// KV is the peer backend a Tier consults on local misses and pushes to
+// in push mode. Keys are hex content hashes (the result cache's
 // canonical-JSON + SHA-256 identities), values are the self-describing
 // entry bytes; a backend never interprets the payload beyond moving it.
 //
 // Get reports a missing key with an error satisfying IsNotExist, so a
-// caller can tell an ordinary miss from a backend *fault* (only the
-// latter should feed a circuit breaker). Implementations must be safe
-// for concurrent use.
+// caller can tell an ordinary miss from a backend fault. Implementations
+// must be safe for concurrent use.
 //
-// Two backends exist today: DirKV (local disk, one file per key — the
-// durable tier every cache has) and PeerKV (the HTTP cache-peer
-// protocol, through which worker daemons warm each other; see
-// DESIGN.md's distributed execution section for the wire contract).
+// PeerKV, the HTTP cache-peer protocol through which worker daemons warm
+// each other, is the production backend (see
+// DESIGN.md's distributed execution section for the wire contract);
+// tests substitute in-memory fakes.
 type KV interface {
 	Get(key string) ([]byte, error)
 	Put(key string, data []byte) error
-	Delete(key string) error
-}
-
-// DirKV is the local-disk backend: one file per key under Dir, written
-// atomically (temp file + rename) so a crash mid-write leaves either the
-// old entry or none — never a torn file a later Get would half-trust.
-// The temp name is derived from the key, not randomized: entries are
-// content-addressed, so concurrent writers of one key write identical
-// bytes and the last rename wins harmlessly.
-type DirKV struct {
-	Dir string
-	FS  FS
-	// Ext is appended to the key to form the file name; the result cache
-	// uses ".json" so its directories keep auditable names.
-	Ext string
-}
-
-// NewDirKV builds a disk backend over fsys (nil means the real
-// filesystem), creating dir if needed.
-func NewDirKV(dir string, fsys FS, ext string) (*DirKV, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("storage: empty backend directory")
-	}
-	if fsys == nil {
-		fsys = OS{}
-	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("storage: open dir backend: %w", err)
-	}
-	return &DirKV{Dir: dir, FS: fsys, Ext: ext}, nil
-}
-
-func (d *DirKV) path(key string) string {
-	return filepath.Join(d.Dir, key+d.Ext)
-}
-
-// Get implements KV. A missing file surfaces as the fs.ErrNotExist the
-// read reported, so IsNotExist distinguishes miss from fault.
-func (d *DirKV) Get(key string) ([]byte, error) {
-	return d.FS.ReadFile(d.path(key))
-}
-
-// Put implements KV with the atomic temp+rename contract. On any
-// failure the temp file is removed — an injected rename fault must not
-// leave *.tmp orphans in the directory.
-func (d *DirKV) Put(key string, data []byte) error {
-	tmp := d.path(key) + ".tmp"
-	if err := d.FS.WriteFile(tmp, data, 0o644); err != nil {
-		_ = d.FS.Remove(tmp) // a half-written (ENOSPC) temp must not linger
-		return err
-	}
-	if err := d.FS.Rename(tmp, d.path(key)); err != nil {
-		_ = d.FS.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// Delete implements KV.
-func (d *DirKV) Delete(key string) error {
-	return d.FS.Remove(d.path(key))
 }
 
 // MaxPeerEntry caps how many bytes a peer response (or request) may
@@ -187,11 +124,6 @@ func (p *PeerKV) Put(key string, data []byte) error {
 	}
 	return errors.Join(errs...)
 }
-
-// Delete implements KV. Peers own their stores; remote deletion is not
-// part of the protocol (a stale peer entry fails the reader's checksum
-// validation and heals there), so Delete is a no-op.
-func (p *PeerKV) Delete(string) error { return nil }
 
 // readCapped reads a response body up to MaxPeerEntry, erroring when the
 // payload exceeds the cap instead of truncating it into a plausible-

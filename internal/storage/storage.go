@@ -1,23 +1,29 @@
-// Package storage is the filesystem seam under the simulation caches
-// (internal/sim's result Cache and TraceStore). The persistence layers
-// used to call the os package directly, which made two things
-// impossible: injecting disk faults deterministically in tests, and
-// degrading to memory-only operation when a real disk misbehaves.
+// Package storage is the persistence layer under the simulation stores
+// (internal/sim's result Cache and TraceStore). Both run on one Tier, so
+// the disk-fault protocol exists once: injecting disk faults
+// deterministically in tests, and degrading to memory-only operation
+// when a real disk misbehaves, cover both stores through one
+// implementation.
 //
-// The package has three parts:
+// The package has five parts:
 //
-//   - FS, the five-operation filesystem interface the caches consume,
+//   - FS, the five-operation filesystem interface the tier consumes,
 //     with OS as the obvious real implementation.
 //   - FaultFS, a deterministic fault-injecting decorator (fail-Nth-op,
 //     ENOSPC, torn write, bit-corrupt read) powering the chaos suites in
 //     internal/sim and internal/server. Schedules are pure data, so a
 //     failing chaos run reproduces from its seed.
-//   - Breaker, the circuit breaker the caches use to stop hammering a
+//   - Breaker, the circuit breaker that stops the tier hammering a
 //     persistently failing disk: after a run of consecutive failures the
-//     breaker opens and the cache serves memory-only, with backoff-timed
-//     probe operations re-enabling disk once it recovers. See
+//     breaker opens and the tier serves memory-only, with backoff-timed
+//     probe writes re-enabling disk once it recovers. See
 //     DESIGN.md's failure domains section for the thresholds and the
 //     probation rule.
+//   - Tier, one directory of atomically written files behind a Breaker,
+//     with the degraded-mode overlay, self-healing reads through the
+//     caller's decoder, and an optional peer tier.
+//   - KV and PeerKV, the peer backend a Tier consults on local misses:
+//     the HTTP cache-peer protocol between worker daemons.
 package storage
 
 import (
@@ -58,7 +64,7 @@ func (OS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(pat
 func (OS) Remove(name string) error { return os.Remove(name) }
 
 // IsNotExist reports whether err means the file does not exist. The
-// caches use it to tell an ordinary miss from a disk *fault*: only the
+// tier uses it to tell an ordinary miss from a disk *fault*: only the
 // latter feeds the circuit breaker.
 func IsNotExist(err error) bool {
 	return errors.Is(err, fs.ErrNotExist)

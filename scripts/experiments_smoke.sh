@@ -3,7 +3,8 @@
 # after a simulated crash, and assert every file each run writes (the
 # text tables, the -csv and the -json export) is byte-identical to the
 # cold run's, for the default run and the two Section 3 studies
-# (-only smt, -only vpred). A warm run must also simulate nothing.
+# (-only smt, -only vpred). A warm run must also simulate nothing, and
+# the resumed default run must replay persisted traces, not run the VM.
 #
 # Run from the repository root: scripts/experiments_smoke.sh
 set -eu
@@ -43,6 +44,14 @@ for only in "" smt vpred; do
     same "$name" resumed
     if grep -q '(0 simulated' "$tmp/$name-resumed.log"; then
         echo "experiments_smoke: resumed $name run did not re-simulate the lost cells" >&2
+        exit 1
+    fi
+    # The resumed default run re-simulates from the traces the cold run
+    # persisted: no VM run, and at least one trace read from disk.
+    if [ "$name" = default ] &&
+        ! grep -Eq 'traces: 0 VM runs, [0-9]+ memory hits, [1-9][0-9]* disk hits' "$tmp/$name-resumed.log"; then
+        echo "experiments_smoke: resumed $name run did not reuse the persisted traces" >&2
+        cat "$tmp/$name-resumed.log" >&2
         exit 1
     fi
     echo "experiments_smoke: $name cold, warm and resumed runs byte-identical"
