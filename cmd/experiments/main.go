@@ -5,6 +5,10 @@
 // and the selective value-prediction ablation — writing aligned text
 // tables to stdout (or -out).
 //
+// The text artifacts (table2 … sweep-cut) are internal/sim's artifact
+// table, which the service's GET /v1/artifacts/{name} renders too, so
+// both print the same bytes for the same -n and -sweep-depth.
+//
 // Runs are resumable: results are cached on disk keyed by a content hash
 // of each cell's full identity, so a second invocation — after a crash, or
 // with a larger grid — only simulates missing cells, and a warm re-run
@@ -18,6 +22,7 @@
 //	                            #   sweep-conf sweep-cut smt vpred
 //	experiments -only smt       # Section 3 SMT fetch-policy study
 //	experiments -only vpred     # Section 3 selective value prediction
+//	experiments -sweep-depth 40 # fig5b and the ablation sweeps at 40 stages
 //	experiments -cache ""       # disable the result cache
 //	experiments -trace-dir ""   # keep traces in memory only (no .simtraces)
 //	experiments -no-traces      # one functional-VM run per cell (old behaviour)
@@ -41,7 +46,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cpu"
 	"repro/internal/profiling"
 	"repro/internal/sim"
 	"repro/internal/smt"
@@ -59,27 +63,8 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// artifacts lists every -only value, in the order the default run renders
-// them.
-var artifacts = []string{
-	"table2", "table4", "fig5a", "fig5b", "fig6",
-	"sweep-conf", "sweep-cut", "smt", "vpred",
-}
-
-func validArtifact(name string) bool {
-	if name == "" {
-		return true
-	}
-	for _, a := range artifacts {
-		if a == name {
-			return true
-		}
-	}
-	return false
-}
-
 func main() {
-	n := flag.Int64("n", sim.DefaultMaxInsts, "dynamic instruction budget per run")
+	n := flag.Int64("n", sim.DefaultMaxInsts, "dynamic instruction budget per run (>= 1)")
 	only := flag.String("only", "", "render one artifact: table2 table4 fig5a fig5b fig6 sweep-conf sweep-cut smt vpred")
 	outPath := flag.String("out", "", "write to this file instead of stdout")
 	csvPath := flag.String("csv", "", "additionally export the selected study's raw grid as CSV")
@@ -89,7 +74,7 @@ func main() {
 	noTraces := flag.Bool("no-traces", false, "disable the trace store: every cell runs its own functional VM")
 	traceMem := flag.Int64("trace-mem", 0, "resident decoded-trace budget in MiB (0 = default)")
 	workers := flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-	sweepDepth := flag.Int("sweep-depth", 20, "pipeline depth for the ablation sweeps")
+	sweepDepth := flag.Int("sweep-depth", 20, "pipeline depth for fig5b and the ablation sweeps (>= 1)")
 	smtCycles := flag.Int64("smt-cycles", smt.DefaultConfig().MaxCycles, "cycle budget per SMT fetch-policy run (>= 1)")
 	depThreshold := flag.Int("dep-threshold", sim.DefaultVPredParams(0).DepThreshold,
 		"DDT dependent-count cut for the selective value-prediction cells (>= 1)")
@@ -97,21 +82,32 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
 
-	if !validArtifact(*only) {
-		fmt.Fprintf(os.Stderr, "experiments: unknown artifact %q (valid: %v)\n", *only, artifacts)
-		os.Exit(2)
+	// The text artifacts are sim.Artifacts, which the service renders
+	// too; the Section 3 studies follow them.
+	arts := sim.Artifacts
+	if *only != "" {
+		arts = nil
+		if a, ok := sim.LookupArtifact(*only); ok {
+			arts = []sim.Artifact{a}
+		} else if *only != "smt" && *only != "vpred" {
+			fmt.Fprintf(os.Stderr, "experiments: unknown artifact %q (valid: %v)\n", *only, append(sim.ArtifactNames(), "smt", "vpred"))
+			os.Exit(2)
+		}
 	}
 	// The validation rules (and their message text) are shared with
 	// cmd/arvisim and the HTTP service; see internal/sim/validate.go.
-	if err := sim.ValidateSMTCycles(*smtCycles); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
-	}
-	if err := sim.ValidateDepThreshold(*depThreshold); err != nil {
+	for _, err := range []error{
+		sim.ValidateBudget(*n),
+		sim.ValidateDepth(*sweepDepth),
+		sim.ValidateSMTCycles(*smtCycles),
 		// Threshold 0 would make the "selective" cells identical to the
 		// all-instructions cells, silently collapsing the ablation.
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
+		sim.ValidateDepThreshold(*depThreshold),
+	} {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			os.Exit(2)
+		}
 	}
 
 	// Profiling starts only after argument validation (a usage error must
@@ -134,117 +130,91 @@ func main() {
 		out = f
 	}
 
-	emit := func(t sim.Table) {
-		if err := t.Render(out); err != nil {
-			fail(err)
+	// -csv/-json export the grid of the selected study: the SMT or vpred
+	// grid under -only smt/vpred, and the paper's whole branch-prediction
+	// grid (the /v1/matrix body) when a figure is selected, which then
+	// simulates that grid too.
+	export := *csvPath != "" || *jsonPath != ""
+	var grid []sim.Spec
+	for _, a := range arts {
+		if a.Grid && export {
+			grid = sim.MatrixSpecs(workload.Names, sim.Depths, sim.Modes, *n)
 		}
 	}
-	// want reports whether the artifact is part of this invocation.
+	// want reports whether a Section 3 study is part of this invocation.
 	want := func(name string) bool { return *only == "" || *only == name }
 
-	if want("table2") {
-		emit(sim.Table2())
-	}
-	if want("table4") {
-		emit(sim.Table4())
-	}
-	if *only == "table2" || *only == "table4" {
-		if *csvPath != "" || *jsonPath != "" {
-			fmt.Fprintln(os.Stderr, "experiments: -csv/-json export a study grid; nothing to export with -only", *only)
-		}
-		return
-	}
-
-	eng := &sim.Engine{Workers: *workers}
-	if *cacheDir != "" {
-		c, err := sim.OpenCache(*cacheDir)
-		if err != nil {
-			fail(err)
-		}
-		eng.Cache = c
-	}
-	if !*noTraces {
-		ts, err := sim.OpenTraceStore(*traceDir, *traceMem<<20)
-		if err != nil {
-			fail(err)
-		}
-		eng.Traces = ts
-	}
-
-	// Ctrl-C cancels in-flight cells at their next checkpoint; completed
-	// cells are already in the cache, so an interrupted sweep resumes
-	// where it stopped.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	start := time.Now()
-	wantMatrix := want("fig5a") || want("fig5b") || want("fig6")
-
 	var mx *sim.Matrix
-	if wantMatrix {
-		fmt.Fprintf(os.Stderr, "experiments: running %d matrix cells (%d insts each)...\n",
-			len(workload.Names)*len(sim.Depths)*len(sim.Modes), *n)
-		var err error
-		mx, err = eng.RunMatrix(ctx, workload.Names, sim.Depths, sim.Modes, *n)
-		if err != nil {
-			// Partial grids still render (missing cells show n/a); report
-			// the failures and degrade rather than discarding the run.
-			reportCellErr(ctx, "some cells failed", err)
-		}
-	}
-
-	var confSweep, cutSweep *sim.SweepResult
-	if want("sweep-conf") {
-		s, err := eng.RunConfThresholdSweep(ctx, workload.Names, *sweepDepth, sim.DefaultConfThresholds, *n)
-		if err != nil {
-			reportCellErr(ctx, "some sweep cells failed", err)
-		}
-		confSweep = s
-	}
-	if want("sweep-cut") {
-		s, err := eng.RunCutAtLoadsSweep(ctx, workload.Names, *sweepDepth, *n)
-		if err != nil {
-			reportCellErr(ctx, "some sweep cells failed", err)
-		}
-		cutSweep = s
-	}
-
 	var smtGrid *sim.SMTGrid
-	if want("smt") {
-		cfg := smt.DefaultConfig()
-		cfg.MaxCycles = *smtCycles
-		g, err := eng.RunSMTGrid(ctx, workload.Mixes(), sim.SMTPolicies, cfg)
-		if err != nil {
-			reportCellErr(ctx, "some SMT cells failed", err)
-		}
-		smtGrid = g
-	}
 	var vpredGrid *sim.VPredGrid
-	if want("vpred") {
-		params := sim.DefaultVPredParams(*n)
-		params.DepThreshold = *depThreshold
-		g, err := eng.RunVPredGrid(ctx, workload.Names, sim.VPredPredictors, params)
-		if err != nil {
-			reportCellErr(ctx, "some value-prediction cells failed", err)
+	// Tables 2 and 4 alone simulate nothing: no engine, no stores.
+	if cells := len(sim.ArtifactSpecs(arts, *n, *sweepDepth, grid...)); cells > 0 || want("smt") || want("vpred") {
+		eng := &sim.Engine{Workers: *workers}
+		if *cacheDir != "" {
+			c, err := sim.OpenCache(*cacheDir)
+			if err != nil {
+				fail(err)
+			}
+			eng.Cache = c
 		}
-		vpredGrid = g
+		if !*noTraces {
+			ts, err := sim.OpenTraceStore(*traceDir, *traceMem<<20)
+			if err != nil {
+				fail(err)
+			}
+			eng.Traces = ts
+		}
+
+		// Ctrl-C cancels in-flight cells at their next checkpoint; completed
+		// cells are already in the cache, so an interrupted sweep resumes
+		// where it stopped.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+
+		start := time.Now()
+		if cells > 0 {
+			fmt.Fprintf(os.Stderr, "experiments: running %d branch-prediction cells (%d insts each)...\n", cells, *n)
+			var err error
+			mx, err = eng.RunArtifacts(ctx, arts, *n, *sweepDepth, grid...)
+			if err != nil {
+				// Partial grids still render (missing cells show n/a); report
+				// the failures and degrade rather than discarding the run.
+				reportCellErr(ctx, "some cells failed", err)
+			}
+		}
+		if want("smt") {
+			cfg := smt.DefaultConfig()
+			cfg.MaxCycles = *smtCycles
+			g, err := eng.RunSMTGrid(ctx, workload.Mixes(), sim.SMTPolicies, cfg)
+			if err != nil {
+				reportCellErr(ctx, "some SMT cells failed", err)
+			}
+			smtGrid = g
+		}
+		if want("vpred") {
+			params := sim.DefaultVPredParams(*n)
+			params.DepThreshold = *depThreshold
+			g, err := eng.RunVPredGrid(ctx, workload.Names, sim.VPredPredictors, params)
+			if err != nil {
+				reportCellErr(ctx, "some value-prediction cells failed", err)
+			}
+			vpredGrid = g
+		}
+
+		fmt.Fprintf(os.Stderr, "experiments: done in %v (%d simulated, %d from cache)\n",
+			time.Since(start).Round(time.Millisecond), eng.Simulated(), eng.CacheHits())
+		if ts := eng.Traces; ts != nil {
+			fmt.Fprintf(os.Stderr, "experiments: traces: %d VM runs, %d memory hits, %d disk hits\n",
+				ts.Recorded(), ts.MemHits(), ts.DiskHits())
+			// A failed write parks its trace in memory until a later write
+			// succeeds, so what the next run misses is what is still parked.
+			if n, parked := ts.PersistErrs(), ts.MemEntries(); n > 0 || parked > 0 {
+				fmt.Fprintf(os.Stderr, "experiments: warning: %d trace writes failed; %d traces did not reach disk\n", n, parked)
+			}
+		}
 	}
 
-	fmt.Fprintf(os.Stderr, "experiments: done in %v (%d simulated, %d from cache)\n",
-		time.Since(start).Round(time.Millisecond), eng.Simulated(), eng.CacheHits())
-	if ts := eng.Traces; ts != nil {
-		fmt.Fprintf(os.Stderr, "experiments: traces: %d VM runs, %d memory hits, %d disk hits\n",
-			ts.Recorded(), ts.MemHits(), ts.DiskHits())
-		// A failed write parks its trace in memory until a later write
-		// succeeds, so what the next run misses is what is still parked.
-		if n, parked := ts.PersistErrs(), ts.MemEntries(); n > 0 || parked > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: warning: %d trace writes failed; %d traces did not reach disk\n", n, parked)
-		}
-	}
-
-	// -csv/-json export the grid of the selected study: the SMT or vpred
-	// grid under -only smt/vpred, the branch-prediction matrix otherwise.
-	if *csvPath != "" || *jsonPath != "" {
+	if export {
 		var csvFn, jsonFn func(io.Writer) error
 		switch {
 		case *only == "smt":
@@ -253,7 +223,7 @@ func main() {
 		case *only == "vpred":
 			csvFn = vpredGrid.WriteCSV
 			jsonFn = vpredGrid.WriteJSON
-		case mx != nil:
+		case grid != nil:
 			csvFn = func(w io.Writer) error { return mx.WriteCSV(w, sim.Depths) }
 			jsonFn = func(w io.Writer) error { return mx.WriteJSON(w, sim.Depths) }
 		default:
@@ -271,47 +241,13 @@ func main() {
 		}
 	}
 
-	if want("fig5a") {
-		emit(sim.Fig5a(mx))
+	if err := sim.RenderArtifacts(out, arts, mx, *sweepDepth); err != nil {
+		fail(err)
 	}
-	if want("fig5b") {
-		emit(sim.Fig5b(mx, 20))
-	}
-	if want("fig6") {
-		for _, d := range sim.Depths {
-			emit(sim.Fig6Accuracy(mx, d))
-			t, _ := sim.Fig6IPC(mx, d)
-			emit(t)
+	emit := func(t sim.Table) {
+		if err := t.Render(out); err != nil {
+			fail(err)
 		}
-		head := sim.Table{
-			Title:  "Headline: average IPC improvement over the two-level 2Bc-gskew baseline",
-			Note:   "paper: +12.6% at 20 stages, +15.6% at 60 stages (ARVI current value)",
-			Header: []string{"depth", "arvi-current", "arvi-loadback", "arvi-perfect"},
-		}
-		improvement := func(s sim.IPCSummary, md cpu.PredMode) string {
-			v, ok := s.AvgImprovement[md]
-			if !ok {
-				return "n/a" // every cell of this mode is missing at this depth
-			}
-			return fmt.Sprintf("%+.1f%%", 100*v)
-		}
-		for _, d := range sim.Depths {
-			_, s := sim.Fig6IPC(mx, d)
-			head.AddRow(fmt.Sprintf("%d", d),
-				improvement(s, cpu.PredARVICurrent),
-				improvement(s, cpu.PredARVILoadBack),
-				improvement(s, cpu.PredARVIPerfect))
-		}
-		emit(head)
-	}
-	if confSweep != nil {
-		emit(sim.SweepAccuracyTable(confSweep))
-		emit(sim.SweepARVIUseTable(confSweep))
-		emit(sim.SweepIPCTable(confSweep))
-	}
-	if cutSweep != nil {
-		emit(sim.SweepAccuracyTable(cutSweep))
-		emit(sim.SweepIPCTable(cutSweep))
 	}
 	if smtGrid != nil {
 		emit(sim.SMTThroughputTable(smtGrid))

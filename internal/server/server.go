@@ -14,7 +14,9 @@
 //	POST /v1/matrix?stream=1   the same grid as chunked JSON lines
 //	POST /v1/study/smt      the Section 3 SMT fetch-policy grid
 //	POST /v1/study/vpred    the Section 3 selective value-prediction grid
-//	GET  /v1/artifacts/{name}  a rendered paper artifact (text tables)
+//	GET  /v1/artifacts/{name}  a rendered paper artifact (text tables):
+//	                        the `experiments -only {name}` file, from the
+//	                        same table (sim.Artifacts) and driver
 //	GET  /v1/bench          the benchmark / mix / mode catalog
 //	GET  /healthz           liveness + engine counters
 //	GET/PUT /v1/cache/{key}    the cache-peer protocol (raw entries)
@@ -40,6 +42,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -50,7 +53,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -472,7 +474,7 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 		c.Policies = append(c.Policies, p.String())
 	}
 	c.Predictors = append(c.Predictors, sim.VPredPredictors...)
-	c.Artifacts = append(c.Artifacts, artifactNames...)
+	c.Artifacts = sim.ArtifactNames()
 	writeResponse(w, jsonResponse(http.StatusOK, c), false)
 }
 
@@ -725,52 +727,28 @@ func (s *Server) handleVPred(w http.ResponseWriter, r *http.Request) {
 
 // --- GET /v1/artifacts/{name} ---------------------------------------------
 
-// artifactNames lists the artifacts the service renders. The studies
-// with structured grids (smt, vpred) live on their own endpoints; these
-// are the text tables cmd/experiments prints.
-var artifactNames = []string{"table2", "table4", "fig5a", "fig5b", "fig6", "sweep-conf", "sweep-cut"}
-
-func validArtifact(name string) bool {
-	for _, a := range artifactNames {
-		if a == name {
-			return true
-		}
-	}
-	return false
-}
-
-// artifactCells reports how many matrix cells the artifact simulates, for
-// the budget cap (0 = renders without simulating).
-func artifactCells(name string) int {
-	switch name {
-	case "table2", "table4":
-		return 0
-	case "fig5a":
-		return len(workload.Names) * len(sim.Depths)
-	case "fig5b":
-		return len(workload.Names)
-	case "fig6":
-		return len(workload.Names) * len(sim.Depths) * len(sim.Modes)
-	case "sweep-conf":
-		return len(workload.Names) * len(sim.DefaultConfThresholds)
-	case "sweep-cut":
-		return len(workload.Names) * 2
-	}
-	return 0
-}
-
+// handleArtifact renders one of sim.Artifacts — the text tables
+// cmd/experiments prints; the studies with structured grids (smt, vpred)
+// live on their own endpoints — through the same driver the CLI uses, so
+// the body is `experiments -only {name} -out`'s file for the same budget
+// (?n=) and depth (?depth=).
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if !validArtifact(name) {
+	a, ok := sim.LookupArtifact(name)
+	if !ok {
 		writeError(w, http.StatusNotFound,
-			fmt.Sprintf("unknown artifact %q (valid: %v)", name, artifactNames))
+			fmt.Sprintf("unknown artifact %q (valid: %v)", name, sim.ArtifactNames()))
 		return
 	}
 	budget := s.cfg.DefaultInsts
 	if v := r.URL.Query().Get("n"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n <= 0 {
+		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad instruction budget %q", v))
+			return
+		}
+		if err := sim.ValidateBudget(n); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		budget = n
@@ -778,13 +756,18 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	depth := 20
 	if v := r.URL.Query().Get("depth"); v != "" {
 		d, err := strconv.Atoi(v)
-		if err != nil || d <= 0 {
+		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad depth %q", v))
+			return
+		}
+		if err := sim.ValidateDepth(d); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		depth = d
 	}
-	if err := s.checkBudget(budget, artifactCells(name)); err != nil {
+	arts := []sim.Artifact{a}
+	if err := s.checkBudget(budget, len(sim.ArtifactSpecs(arts, budget, depth))); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -792,82 +775,16 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	s.coalesce(w, key, func() *response {
-		body, err := s.renderArtifact(ctx, name, budget, depth)
+		mx, err := s.cfg.Engine.RunArtifacts(ctx, arts, budget, depth)
+		var body bytes.Buffer
+		if err == nil {
+			err = sim.RenderArtifacts(&body, arts, mx, depth)
+		}
 		if err != nil {
 			return errResponse(errStatus(err), err.Error())
 		}
-		return &response{status: http.StatusOK, contentType: "text/plain; charset=utf-8", body: body}
+		return &response{status: http.StatusOK, contentType: "text/plain; charset=utf-8", body: body.Bytes()}
 	})
-}
-
-// renderArtifact produces the artifact's text tables, simulating (through
-// the engine's cache and trace store) whatever cells it needs.
-//
-//arvi:det
-func (s *Server) renderArtifact(ctx context.Context, name string, budget int64, depth int) ([]byte, error) {
-	var out strings.Builder
-	emit := func(t sim.Table) error { return t.Render(&out) }
-	switch name {
-	case "table2":
-		if err := emit(sim.Table2()); err != nil {
-			return nil, err
-		}
-	case "table4":
-		if err := emit(sim.Table4()); err != nil {
-			return nil, err
-		}
-	case "fig5a":
-		mx, err := s.cfg.Engine.RunMatrix(ctx, workload.Names, sim.Depths, []cpu.PredMode{cpu.PredARVICurrent}, budget)
-		if err != nil {
-			return nil, err
-		}
-		if err := emit(sim.Fig5a(mx)); err != nil {
-			return nil, err
-		}
-	case "fig5b":
-		mx, err := s.cfg.Engine.RunMatrix(ctx, workload.Names, []int{depth}, []cpu.PredMode{cpu.PredARVICurrent}, budget)
-		if err != nil {
-			return nil, err
-		}
-		if err := emit(sim.Fig5b(mx, depth)); err != nil {
-			return nil, err
-		}
-	case "fig6":
-		mx, err := s.cfg.Engine.RunMatrix(ctx, workload.Names, sim.Depths, sim.Modes, budget)
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range sim.Depths {
-			if err := emit(sim.Fig6Accuracy(mx, d)); err != nil {
-				return nil, err
-			}
-			t, _ := sim.Fig6IPC(mx, d)
-			if err := emit(t); err != nil {
-				return nil, err
-			}
-		}
-	case "sweep-conf":
-		sw, err := s.cfg.Engine.RunConfThresholdSweep(ctx, workload.Names, depth, sim.DefaultConfThresholds, budget)
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range []sim.Table{sim.SweepAccuracyTable(sw), sim.SweepARVIUseTable(sw), sim.SweepIPCTable(sw)} {
-			if err := emit(t); err != nil {
-				return nil, err
-			}
-		}
-	case "sweep-cut":
-		sw, err := s.cfg.Engine.RunCutAtLoadsSweep(ctx, workload.Names, depth, budget)
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range []sim.Table{sim.SweepAccuracyTable(sw), sim.SweepIPCTable(sw)} {
-			if err := emit(t); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return []byte(out.String()), nil
 }
 
 // errString renders a possibly-nil error; fallback covers the "no error

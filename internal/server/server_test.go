@@ -237,8 +237,9 @@ func TestValidationErrorsMatchCLI(t *testing.T) {
 	_, ts, eng := newTestServer(t, func(c *Config) { c.MaxTotalInsts = 1_000_000 })
 	cases := []struct {
 		name, path, body string
+		get              bool // a GET of path; body unused
 		wantStatus       int
-		wantMsg          string
+		wantMsg          string // "" = a success body, not checked
 	}{
 		{
 			name: "unknown benchmark", path: "/v1/run",
@@ -326,12 +327,46 @@ func TestValidationErrorsMatchCLI(t *testing.T) {
 			wantStatus: http.StatusRequestEntityTooLarge,
 			wantMsg:    "request body exceeds 1048576 bytes",
 		},
+		{
+			// The artifact cap multiplies by the artifact's cell count.
+			name: "over-budget artifact", path: "/v1/artifacts/fig6?n=10417", get: true,
+			wantStatus: http.StatusBadRequest,
+			wantMsg:    "request instruction budget (96 cells x 10417) exceeds -max-insts 1000000",
+		},
+		{
+			name: "over-budget sweep artifact", path: "/v1/artifacts/sweep-conf?n=25001", get: true,
+			wantStatus: http.StatusBadRequest,
+			wantMsg:    "request instruction budget (40 cells x 25001) exceeds -max-insts 1000000",
+		},
+		{
+			name: "echo artifact simulates nothing", path: "/v1/artifacts/table2?n=9000000000", get: true,
+			wantStatus: http.StatusOK,
+		},
+		{
+			name: "non-positive artifact depth", path: "/v1/artifacts/sweep-cut?depth=0", get: true,
+			wantStatus: http.StatusBadRequest,
+			wantMsg:    sim.ValidateDepth(0).Error(),
+		},
+		{
+			name: "non-positive artifact budget", path: "/v1/artifacts/fig5b?n=-1", get: true,
+			wantStatus: http.StatusBadRequest,
+			wantMsg:    sim.ValidateBudget(-1).Error(),
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, b := post(t, ts.URL+tc.path, tc.body)
+			var resp *http.Response
+			var b []byte
+			if tc.get {
+				resp, b = get(t, ts.URL+tc.path)
+			} else {
+				resp, b = post(t, ts.URL+tc.path, tc.body)
+			}
 			if resp.StatusCode != tc.wantStatus {
 				t.Fatalf("status %d, want %d (%s)", resp.StatusCode, tc.wantStatus, b)
+			}
+			if tc.wantMsg == "" {
+				return
 			}
 			var eb dist.ErrorBody
 			if err := json.Unmarshal(b, &eb); err != nil {
@@ -413,7 +448,7 @@ func TestArtifactsCatalogHealth(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown artifact: %d %s", resp.StatusCode, b)
 	}
-	want := fmt.Sprintf("unknown artifact %q (valid: %v)", "fig7", artifactNames)
+	want := fmt.Sprintf("unknown artifact %q (valid: %v)", "fig7", sim.ArtifactNames())
 	var eb dist.ErrorBody
 	if err := json.Unmarshal(b, &eb); err != nil || eb.Error != want {
 		t.Fatalf("unknown-artifact message %q, want %q", eb.Error, want)

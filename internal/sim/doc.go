@@ -27,6 +27,15 @@
 //     cells, Matrix holds a (possibly partial) grid and
 //     Fig5a/Fig5b/Fig6Accuracy/Fig6IPC/Table2/Table4 render the paper's
 //     artifacts from it.
+//   - Artifacts / Engine.RunArtifacts / RenderArtifacts — the seven text
+//     artifacts (Tables 2 and 4, Figures 5(a), 5(b) and 6 with the
+//     headline, and the two ablation sweeps), declared once: each entry
+//     names the cells it reads at a budget and a depth and the tables it
+//     renders from one Matrix. The sweeps (the JRS confidence threshold
+//     and DESIGN.md ablation A1) are ordinary matrix cells, because the
+//     ablation knobs are part of a cell's identity. The driver runs the
+//     union of the selected entries' cells once; cmd/experiments and the
+//     service's /v1/artifacts both render through it.
 //   - Study / RunStudies — the cache-keyed cell contract of the Section 3
 //     studies; Engine.RunSMTGrid and Engine.RunVPredGrid wire the two
 //     studies through it, over the cells SMTStudies and VPredStudies
@@ -38,8 +47,6 @@
 //     record's scalar fields, headed by their JSON names.
 //   - ForEach — the bounded worker pool the engine and the dist
 //     coordinator share.
-//   - Engine.RunConfThresholdSweep / Engine.RunCutAtLoadsSweep — the
-//     ablation sweeps (DESIGN.md ablation A1 and the JRS threshold).
 //   - OpenCache / OpenTraceStore — the two stores (per-cell results;
 //     record-once/replay-many traces), shared by every front end:
 //     cmd/experiments, cmd/arvisim and the HTTP service (internal/server

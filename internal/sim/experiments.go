@@ -14,6 +14,8 @@ const na = "n/a"
 // Fig5a renders Figure 5(a): the fraction of dynamic conditional branches
 // classified as load branches, per benchmark and pipeline depth, under the
 // ARVI current-value configuration. Missing cells render as n/a.
+//
+//arvi:det
 func Fig5a(m *Matrix) Table {
 	t := Table{
 		Title:  "Figure 5(a): Load branch fraction (ARVI current value)",
@@ -35,6 +37,8 @@ func Fig5a(m *Matrix) Table {
 
 // Fig5b renders Figure 5(b): prediction accuracy of calculated versus load
 // branches at the given depth under ARVI current value.
+//
+//arvi:det
 func Fig5b(m *Matrix, depth int) Table {
 	t := Table{
 		Title:  fmt.Sprintf("Figure 5(b): Prediction accuracy by class, %d-cycle (ARVI current value)", depth),
@@ -138,6 +142,8 @@ func Fig6IPC(m *Matrix, depth int) (Table, IPCSummary) {
 }
 
 // Table2 echoes the architectural parameters of the simulated machine.
+//
+//arvi:det
 func Table2() Table {
 	cfg := cpu.DefaultConfig(20, cpu.PredBaseline2Lvl)
 	t := Table{
@@ -163,6 +169,8 @@ func Table2() Table {
 }
 
 // Table4 echoes the predictor access latencies.
+//
+//arvi:det
 func Table4() Table {
 	t := Table{
 		Title:  "Table 4: Predictor access latencies (cycles)",

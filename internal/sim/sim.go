@@ -359,15 +359,18 @@ func MatrixSpecs(benches []string, depths []int, modes []cpu.PredMode, maxInsts 
 // matrix holds every completed cell and the error joins the per-cell
 // failures; renderers that go through Matrix.Lookup degrade gracefully.
 func (e *Engine) RunMatrix(ctx context.Context, benches []string, depths []int, modes []cpu.PredMode, maxInsts int64) (*Matrix, error) {
-	res, err := e.Run(ctx, MatrixSpecs(benches, depths, modes, maxInsts))
+	return e.runMatrix(ctx, MatrixSpecs(benches, depths, modes, maxInsts), maxInsts)
+}
+
+// runMatrix runs the specs (all at the budget) and collects the completed
+// cells into a Matrix, under Run's partial-result contract.
+func (e *Engine) runMatrix(ctx context.Context, specs []Spec, maxInsts int64) (*Matrix, error) {
+	res, err := e.Run(ctx, specs)
 	mx := &Matrix{m: make(map[matrixKey]cpu.Stats, len(res)), MaxInsts: maxInsts}
 	for _, r := range res {
 		mx.Add(r)
 	}
-	if err != nil {
-		return mx, err
-	}
-	return mx, nil
+	return mx, err
 }
 
 // RunAll executes the given specs concurrently (bounded by GOMAXPROCS) on

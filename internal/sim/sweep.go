@@ -1,181 +1,130 @@
 package sim
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/cpu"
 	"repro/internal/workload"
 )
 
-// DefaultConfThresholds is the JRS confidence-threshold grid swept by the
-// ablation driver. The paper's operating point is 8; the grid brackets it
-// on both sides. Zero is not sweepable (Spec treats it as "keep default").
+// DefaultConfThresholds is the JRS confidence-threshold grid of the
+// sweep-conf artifact. The paper's operating point is 8; the grid
+// brackets it on both sides. Zero is not sweepable (Spec treats it as
+// "keep default").
 var DefaultConfThresholds = []uint8{1, 4, 8, 12, 15}
 
-// SweepPoint is one column of an ablation sweep: a short name and the spec
-// mutation that realises the point.
-type SweepPoint struct {
-	Name   string
-	Mutate func(*Spec)
+// sweep is an ablation: a label naming the swept parameter, its points,
+// and the metrics it renders one table each for. Every point mutates the
+// ARVI current-value cell at the artifact's depth. The knobs a point sets
+// are part of a matrix cell's identity (specKey), so a sweep's cells are
+// ordinary matrix cells: the artifact driver runs them with the figures'
+// cells, and its tables read them back with Matrix.LookupSpec.
+type sweep struct {
+	label   string
+	points  []sweepPoint
+	metrics []sweepMetric
 }
 
-// SweepResult holds a (benchmark × point) ablation grid at one pipeline
-// depth. Like Matrix it may be partial; renderers go through Lookup.
-type SweepResult struct {
-	// Label names the swept parameter (table titles).
-	Label string
-	Depth int
-	Mode  cpu.PredMode
-	// Points lists the column names in sweep order.
-	Points []string
-	m      map[sweepKey]cpu.Stats
+// sweepPoint is one column of a sweep: a short name and the spec mutation
+// that realises the point.
+type sweepPoint struct {
+	name   string
+	mutate func(*Spec)
 }
 
-type sweepKey struct {
-	bench string
-	point string
+// sweepMetric is one table of a sweep: the metric's name and how a cell
+// renders it.
+type sweepMetric struct {
+	name string
+	cell func(cpu.Stats) string
 }
 
-// Lookup returns one cell and whether it is populated.
-func (s *SweepResult) Lookup(bench, point string) (cpu.Stats, bool) {
-	st, ok := s.m[sweepKey{bench, point}]
-	return st, ok
-}
-
-// RunSweep evaluates every (bench × point) cell at the given depth and
-// predictor mode. Completed cells survive sibling failures: the returned
-// SweepResult holds everything that finished and the error joins the
-// per-cell failures (see Engine.Run).
-func (e *Engine) RunSweep(ctx context.Context, label string, benches []string, depth int, mode cpu.PredMode, maxInsts int64, points []SweepPoint) (*SweepResult, error) {
-	if len(points) == 0 {
-		return nil, errors.New("sim: sweep with no points")
-	}
-	sr := &SweepResult{
-		Label: label,
-		Depth: depth,
-		Mode:  mode,
-		m:     make(map[sweepKey]cpu.Stats, len(benches)*len(points)),
-	}
-	var specs []Spec
-	var keys []sweepKey
-	for _, p := range points {
-		sr.Points = append(sr.Points, p.Name)
-		for _, b := range benches {
-			s := Spec{Bench: b, Depth: depth, Mode: mode, MaxInsts: maxInsts}
-			p.Mutate(&s)
-			specs = append(specs, s)
-			keys = append(keys, sweepKey{bench: b, point: p.Name})
-		}
-	}
-	// Map surviving results back to their sweep cells by spec identity;
-	// points whose mutations coincide share the same simulation.
-	bySpec := make(map[Spec][]sweepKey, len(specs))
-	for i, s := range specs {
-		bySpec[s] = append(bySpec[s], keys[i])
-	}
-	res, err := e.Run(ctx, specs)
-	for _, r := range res {
-		for _, k := range bySpec[r.Spec] {
-			sr.m[k] = r.Stats
-		}
-	}
-	return sr, err
-}
-
-// RunConfThresholdSweep sweeps the JRS confidence threshold gating ARVI
-// use (Section 4.3 machinery) under ARVI current-value at one depth.
-func (e *Engine) RunConfThresholdSweep(ctx context.Context, benches []string, depth int, thresholds []uint8, maxInsts int64) (*SweepResult, error) {
-	var points []SweepPoint
-	for _, th := range thresholds {
-		th := th
-		points = append(points, SweepPoint{
-			Name:   fmt.Sprintf("conf=%d", th),
-			Mutate: func(s *Spec) { s.ConfThreshold = th },
-		})
-	}
-	return e.RunSweep(ctx, "JRS confidence threshold", benches, depth, cpu.PredARVICurrent, maxInsts, points)
-}
-
-// RunCutAtLoadsSweep compares the paper's full dependence-chain semantics
-// against the cut-at-loads DDT ablation under ARVI current-value.
-func (e *Engine) RunCutAtLoadsSweep(ctx context.Context, benches []string, depth int, maxInsts int64) (*SweepResult, error) {
-	points := []SweepPoint{
-		{Name: "full-chain", Mutate: func(s *Spec) { s.CutAtLoads = false }},
-		{Name: "cut-at-loads", Mutate: func(s *Spec) { s.CutAtLoads = true }},
-	}
-	return e.RunSweep(ctx, "DDT chain semantics", benches, depth, cpu.PredARVICurrent, maxInsts, points)
-}
-
-// sweepTable renders one metric of a sweep grid, marking unpopulated cells
-// "n/a" so partially completed (or partially failed) sweeps still render.
-//
-//arvi:det
-func sweepTable(s *SweepResult, metric string, cell func(cpu.Stats) string) Table {
-	t := Table{
-		Title:  fmt.Sprintf("Ablation: %s — %s, %d-cycle pipeline (%s)", s.Label, metric, s.Depth, s.Mode),
-		Header: append([]string{"benchmark"}, s.Points...),
-	}
-	for _, b := range sweepBenches(s) {
-		row := []string{b}
-		for _, p := range s.Points {
-			if st, ok := s.Lookup(b, p); ok {
-				row = append(row, cell(st))
-			} else {
-				row = append(row, "n/a")
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t
-}
-
-// sweepBenches recovers the benchmark rows present in the grid, in the
-// canonical suite order first and any extras after.
-//
-//arvi:det
-func sweepBenches(s *SweepResult) []string {
-	seen := make(map[string]bool)
-	//arvi:unordered builds a set; membership is order-independent
-	for k := range s.m {
-		seen[k.bench] = true
-	}
-	var out []string
-	for _, b := range workload.Names {
-		if seen[b] {
-			out = append(out, b)
-			delete(seen, b)
-		}
-	}
-	extras := make([]string, 0, len(seen))
-	//arvi:unordered collected into extras and sorted below
-	for b := range seen {
-		extras = append(extras, b)
-	}
-	sort.Strings(extras)
-	return append(out, extras...)
-}
-
-// SweepAccuracyTable renders final prediction accuracy per cell.
-func SweepAccuracyTable(s *SweepResult) Table {
-	return sweepTable(s, "prediction accuracy", func(st cpu.Stats) string { return pct(st.PredAccuracy()) })
-}
-
-// SweepIPCTable renders IPC per cell.
-func SweepIPCTable(s *SweepResult) Table {
-	return sweepTable(s, "IPC", func(st cpu.Stats) string { return f3(st.IPC()) })
-}
-
-// SweepARVIUseTable renders the fraction of conditional branches where the
-// ARVI prediction steered fetch — the quantity the confidence threshold
-// and the chain ablation directly move.
-func SweepARVIUseTable(s *SweepResult) Table {
-	return sweepTable(s, "ARVI steer fraction", func(st cpu.Stats) string {
+var (
+	accuracyMetric = sweepMetric{"prediction accuracy", func(st cpu.Stats) string { return pct(st.PredAccuracy()) }}
+	ipcMetric      = sweepMetric{"IPC", func(st cpu.Stats) string { return f3(st.IPC()) }}
+	// arviUseMetric is the fraction of conditional branches where the
+	// ARVI prediction steered fetch — the quantity the confidence
+	// threshold and the chain ablation directly move.
+	arviUseMetric = sweepMetric{"ARVI steer fraction", func(st cpu.Stats) string {
 		if st.CondBranches == 0 {
-			return "n/a"
+			return na
 		}
 		return pct(float64(st.ARVIUsed) / float64(st.CondBranches))
-	})
+	}}
+)
+
+// confSweep sweeps the JRS confidence threshold gating ARVI use (Section
+// 4.3 machinery).
+var confSweep = sweep{
+	label:   "JRS confidence threshold",
+	points:  confPoints(DefaultConfThresholds),
+	metrics: []sweepMetric{accuracyMetric, arviUseMetric, ipcMetric},
+}
+
+// cutSweep compares the paper's full dependence-chain semantics against
+// the cut-at-loads DDT ablation (DESIGN.md ablation A1).
+var cutSweep = sweep{
+	label: "DDT chain semantics",
+	points: []sweepPoint{
+		{"full-chain", func(s *Spec) { s.CutAtLoads = false }},
+		{"cut-at-loads", func(s *Spec) { s.CutAtLoads = true }},
+	},
+	metrics: []sweepMetric{accuracyMetric, ipcMetric},
+}
+
+func confPoints(thresholds []uint8) []sweepPoint {
+	points := make([]sweepPoint, len(thresholds))
+	for i, th := range thresholds {
+		points[i] = sweepPoint{fmt.Sprintf("conf=%d", th), func(s *Spec) { s.ConfThreshold = th }}
+	}
+	return points
+}
+
+// spec is the point's cell for one benchmark.
+func (p sweepPoint) spec(bench string, maxInsts int64, depth int) Spec {
+	s := Spec{Bench: bench, Depth: depth, Mode: cpu.PredARVICurrent, MaxInsts: maxInsts}
+	p.mutate(&s)
+	return s
+}
+
+// specs enumerates the sweep's cells, point-major.
+func (s sweep) specs(maxInsts int64, depth int) []Spec {
+	specs := make([]Spec, 0, len(s.points)*len(workload.Names))
+	for _, p := range s.points {
+		for _, b := range workload.Names {
+			specs = append(specs, p.spec(b, maxInsts, depth))
+		}
+	}
+	return specs
+}
+
+// tables renders one table per metric: a row per benchmark in suite
+// order and a column per point, with n/a for a missing cell — the rule
+// the figure tables follow.
+//
+//arvi:det
+func (s sweep) tables(m *Matrix, depth int) []Table {
+	out := make([]Table, len(s.metrics))
+	for i, mt := range s.metrics {
+		t := Table{
+			Title:  fmt.Sprintf("Ablation: %s — %s, %d-cycle pipeline (%s)", s.label, mt.name, depth, cpu.PredARVICurrent),
+			Header: []string{"benchmark"},
+		}
+		for _, p := range s.points {
+			t.Header = append(t.Header, p.name)
+		}
+		for _, b := range workload.Names {
+			row := []string{b}
+			for _, p := range s.points {
+				if st, ok := m.LookupSpec(p.spec(b, m.MaxInsts, depth)); ok {
+					row = append(row, mt.cell(st))
+				} else {
+					row = append(row, na)
+				}
+			}
+			t.AddRow(row...)
+		}
+		out[i] = t
+	}
+	return out
 }

@@ -47,6 +47,16 @@ func ValidateDepth(depth int) error {
 	return nil
 }
 
+// ValidateBudget rejects a non-positive per-cell instruction budget. A
+// zero budget would silently mean the default one (Spec.Config), and a
+// negative one would run every program to halt.
+func ValidateBudget(n int64) error {
+	if n <= 0 {
+		return fmt.Errorf("instruction budget %d out of range (need >= 1)", n)
+	}
+	return nil
+}
+
 // ValidateBench rejects a benchmark name outside the compiled-in suite.
 func ValidateBench(name string) error {
 	if _, ok := workload.Lookup(name); !ok {
