@@ -71,7 +71,7 @@ func BenchmarkTable4Latencies(b *testing.B) {
 // average fraction at each depth.
 func BenchmarkFig5a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		mx, err := sim.RunMatrix(context.Background(), workload.Names, sim.Depths,
+		mx, err := sim.RunMatrix(context.Background(), &sim.Engine{}, workload.Names, sim.Depths,
 			[]cpu.PredMode{cpu.PredARVICurrent}, benchInsts)
 		if err != nil {
 			b.Fatal(err)
@@ -92,7 +92,7 @@ func BenchmarkFig5a(b *testing.B) {
 // load branches at 20 stages. It reports the suite-average accuracies.
 func BenchmarkFig5b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		mx, err := sim.RunMatrix(context.Background(), workload.Names, []int{20},
+		mx, err := sim.RunMatrix(context.Background(), &sim.Engine{}, workload.Names, []int{20},
 			[]cpu.PredMode{cpu.PredARVICurrent}, benchInsts)
 		if err != nil {
 			b.Fatal(err)
@@ -112,7 +112,7 @@ func BenchmarkFig5b(b *testing.B) {
 
 func benchFig6(b *testing.B, depth int) {
 	for i := 0; i < b.N; i++ {
-		mx, err := sim.RunMatrix(context.Background(), workload.Names, []int{depth}, sim.Modes, benchInsts)
+		mx, err := sim.RunMatrix(context.Background(), &sim.Engine{}, workload.Names, []int{depth}, sim.Modes, benchInsts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func BenchmarkMatrixTraceStore(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng := &sim.Engine{Traces: store}
-		mx, err := eng.RunMatrix(context.Background(), workload.Names, []int{20}, sim.Modes, benchInsts)
+		mx, err := sim.RunMatrix(context.Background(), eng, workload.Names, []int{20}, sim.Modes, benchInsts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -25,11 +25,13 @@
 //	      -workers-list http://h1:8745,http://h2:8745      # fan sweeps out
 //	arvid -cache-peers http://h2:8745 -cache-push          # warm peer caches
 //
-// A coordinator decomposes /v1/matrix and /v1/study/* into per-cell jobs
-// keyed by the result cache's own content hashes, fans them out to the
-// workers with retries and backoff, and merges answers byte-identically
-// to a single-node run; -cache-peers lets any daemon serve local cache
-// misses from its peers' caches over GET/PUT /v1/cache/{key}.
+// A coordinator decomposes every sweep — /v1/matrix, /v1/study/* and
+// /v1/artifacts/* — into per-cell jobs keyed by the result cache's own
+// content hashes, fans them out to the workers with retries and backoff,
+// and merges answers byte-identically to a single-node run; a single
+// /v1/run is the worker job itself and runs where it lands. -cache-peers
+// lets any daemon serve local cache misses from its peers' caches over
+// GET/PUT /v1/cache/{key}.
 //
 //	curl localhost:8744/healthz
 //	curl localhost:8744/v1/bench

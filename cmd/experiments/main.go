@@ -175,7 +175,7 @@ func main() {
 		if cells > 0 {
 			fmt.Fprintf(os.Stderr, "experiments: running %d branch-prediction cells (%d insts each)...\n", cells, *n)
 			var err error
-			mx, err = eng.RunArtifacts(ctx, arts, *n, *sweepDepth, grid...)
+			mx, err = sim.RunArtifacts(ctx, eng, arts, *n, *sweepDepth, grid...)
 			if err != nil {
 				// Partial grids still render (missing cells show n/a); report
 				// the failures and degrade rather than discarding the run.
@@ -185,7 +185,7 @@ func main() {
 		if want("smt") {
 			cfg := smt.DefaultConfig()
 			cfg.MaxCycles = *smtCycles
-			g, err := eng.RunSMTGrid(ctx, workload.Mixes(), sim.SMTPolicies, cfg)
+			g, err := eng.RunSMTGrid(ctx, workload.Mixes(), cfg)
 			if err != nil {
 				reportCellErr(ctx, "some SMT cells failed", err)
 			}

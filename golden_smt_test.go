@@ -37,7 +37,7 @@ func computeGoldenSMT(t *testing.T) goldenSMTFile {
 		Stats:     make(map[string]map[string]sim.SMTStats, len(workload.MixNames)),
 	}
 	eng := &sim.Engine{}
-	grid, err := eng.RunSMTGrid(context.Background(), workload.Mixes(), sim.SMTPolicies, cfg)
+	grid, err := eng.RunSMTGrid(context.Background(), workload.Mixes(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

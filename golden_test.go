@@ -110,7 +110,7 @@ func TestGoldenStatsReplayIdentical(t *testing.T) {
 	}
 	eng := &sim.Engine{Traces: store}
 	live := computeGolden(t)
-	mx, err := eng.RunMatrix(context.Background(), workload.Names, []int{live.Depth},
+	mx, err := sim.RunMatrix(context.Background(), eng, workload.Names, []int{live.Depth},
 		[]cpu.PredMode{cpu.PredARVICurrent}, live.MaxInsts)
 	if err != nil {
 		t.Fatal(err)

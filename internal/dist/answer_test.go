@@ -104,14 +104,14 @@ func TestAnswersForAnotherCellFallBackToLocal(t *testing.T) {
 		return st.Insts, nil
 	}
 	runSMT := func(ctx context.Context, c *Coordinator) (int64, error) {
-		g, err := c.SMTGrid(ctx, []workload.Mix{mix}, smtCfg)
+		g, err := c.RunSMTGrid(ctx, []workload.Mix{mix}, smtCfg)
 		if err != nil || len(g.Cells) != len(sim.SMTPolicies) {
 			t.Fatalf("smt: %d cells, err %v", len(g.Cells), err)
 		}
 		return g.Cells[0].Cycles, nil
 	}
 	runVPred := func(ctx context.Context, c *Coordinator) (int64, error) {
-		g, err := c.VPredGrid(ctx, []string{"li"}, []string{"stride"}, vpParams)
+		g, err := c.RunVPredGrid(ctx, []string{"li"}, []string{"stride"}, vpParams)
 		if err != nil {
 			return 0, err
 		}

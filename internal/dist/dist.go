@@ -43,9 +43,11 @@ const (
 )
 
 // Coordinator fans per-cell jobs out to worker arvid daemons and merges
-// their answers. The zero value is not useful — at minimum register
-// workers with SetWorkers/AddWorker or provide a Local engine; a
-// Coordinator with neither fails every job.
+// their answers. It is a sim.Runner, as the local sim.Engine is, so a
+// daemon in the coordinator role runs every sweep through it unchanged.
+// The zero value is not useful — at minimum register workers with
+// SetWorkers/AddWorker or provide a Local engine; a Coordinator with
+// neither fails every job.
 //
 // All fields are read-only after first use; the worker set itself may be
 // mutated concurrently through AddWorker.
@@ -86,6 +88,8 @@ type Coordinator struct {
 	retried atomic.Int64 // extra remote attempts after a failure
 	local   atomic.Int64 // jobs that fell back to the local engine
 }
+
+var _ sim.Runner = (*Coordinator)(nil)
 
 // worker tracks one registered worker daemon and its health.
 type worker struct {
@@ -499,11 +503,12 @@ func specJob(spec sim.Spec) job[sim.Result] {
 	}
 }
 
-// RunSpecs executes the specs as distributed jobs and returns the
-// completed results in spec order, mirroring sim.Engine.RunEach: done
-// (when non-nil) fires per spec as it settles, partial results survive
-// partial failure, and per-spec errors are joined.
-func (c *Coordinator) RunSpecs(ctx context.Context, specs []sim.Spec, done func(i int, r sim.Result, err error)) ([]sim.Result, error) {
+// RunEach implements sim.Runner: it executes the specs as distributed
+// jobs and returns the completed results in spec order, mirroring
+// sim.Engine.RunEach: done (when non-nil) fires per spec as it settles,
+// partial results survive partial failure, and per-spec errors are
+// joined.
+func (c *Coordinator) RunEach(ctx context.Context, specs []sim.Spec, done func(i int, r sim.Result, err error)) ([]sim.Result, error) {
 	jobs := make([]job[sim.Result], len(specs))
 	for i, spec := range specs {
 		jobs[i] = specJob(spec)
@@ -511,18 +516,10 @@ func (c *Coordinator) RunSpecs(ctx context.Context, specs []sim.Spec, done func(
 	return runJobs(ctx, c, jobs, done)
 }
 
-// Matrix runs the (bench × depth × mode) grid distributed and folds the
-// answers into a sim.Matrix. Rendering the returned matrix through the
-// same Export path as a local run is what makes distributed output
-// byte-identical to single-node output: cell identity (the cache key)
-// and iteration order are shared, only the executor differs.
+// Matrix is sim.RunMatrix on the coordinator, kept for perfbench's dist
+// probe, which calls it.
 func (c *Coordinator) Matrix(ctx context.Context, benches []string, depths []int, modes []cpu.PredMode, maxInsts int64) (*sim.Matrix, error) {
-	res, err := c.RunSpecs(ctx, sim.MatrixSpecs(benches, depths, modes, maxInsts), nil)
-	mx := &sim.Matrix{MaxInsts: maxInsts}
-	for _, r := range res {
-		mx.Add(r)
-	}
-	return mx, err
+	return sim.RunMatrix(ctx, c, benches, depths, modes, maxInsts)
 }
 
 // --- study jobs -----------------------------------------------------------
@@ -532,7 +529,7 @@ func (c *Coordinator) Matrix(ctx context.Context, benches []string, depths []int
 // the full configuration, and one stable choice keeps the mix's placement
 // (and so its cache locality) consistent. The answer must carry the
 // asked-for model configuration and one cell of the mix per policy, in
-// sim.SMTPolicies order (RunSMTGrid's run order).
+// sim.SMTPolicies order (sim.Engine.RunSMTGrid's run order).
 func smtJob(mix workload.Mix, cfg smt.Config) job[sim.SMTGrid] {
 	key, err := sim.StudyKey(sim.SMTStudy{Mix: mix, Policy: sim.SMTPolicies[0], Config: cfg})
 	return job[sim.SMTGrid]{
@@ -556,25 +553,25 @@ func smtJob(mix workload.Mix, cfg smt.Config) job[sim.SMTGrid] {
 			return nil
 		},
 		local: func(ctx context.Context, e *sim.Engine) (sim.SMTGrid, error) {
-			g, err := e.RunSMTGrid(ctx, []workload.Mix{mix}, sim.SMTPolicies, cfg)
+			g, err := e.RunSMTGrid(ctx, []workload.Mix{mix}, cfg)
 			return *g, err
 		},
 	}
 }
 
-// SMTGrid runs the SMT fetch-policy study distributed, one job per mix
-// (a mix's policy cells share its thread set; splitting finer would buy
-// little and cost the worker its per-mix program resolution). The
-// returned grid appends the per-mix answers' cells in request order —
-// exactly sim.Engine.RunSMTGrid's mix-major run order, so the merged
-// grid is byte-identical to a single-node run.
-func (c *Coordinator) SMTGrid(ctx context.Context, mixes []workload.Mix, cfg smt.Config) (*sim.SMTGrid, error) {
+// RunSMTGrid implements sim.Runner: it runs the SMT fetch-policy study
+// distributed, one job per mix (a mix's policy cells share its thread
+// set; splitting finer would buy little and cost the worker its per-mix
+// program resolution). The returned grid appends the per-mix answers'
+// cells in request order — exactly sim.Engine.RunSMTGrid's mix-major run
+// order, so the merged grid is byte-identical to a single-node run.
+func (c *Coordinator) RunSMTGrid(ctx context.Context, mixes []workload.Mix, cfg smt.Config) (*sim.SMTGrid, error) {
 	jobs := make([]job[sim.SMTGrid], len(mixes))
 	for i, mix := range mixes {
 		jobs[i] = smtJob(mix, cfg)
 	}
 	answers, err := runJobs(ctx, c, jobs, nil)
-	g := &sim.SMTGrid{Config: cfg, Cells: []sim.SMTRecord{}, Mixes: mixes, Policies: sim.SMTPolicies}
+	g := &sim.SMTGrid{Config: cfg, Cells: []sim.SMTRecord{}, Mixes: mixes}
 	for _, a := range answers {
 		g.Cells = append(g.Cells, a.Cells...)
 	}
@@ -585,7 +582,7 @@ func (c *Coordinator) SMTGrid(ctx context.Context, mixes []workload.Mix, cfg smt
 // /v1/study/vpred (its all/selective cells share the bench's trace),
 // placed by the pair's all-instructions study key. The answer must carry
 // the asked-for parameters and both cells of the pair, all-instructions
-// first, then selective (RunVPredGrid's run order).
+// first, then selective (sim.Engine.RunVPredGrid's run order).
 func vpredJob(bench, pred string, params sim.VPredParams) job[sim.VPredGrid] {
 	key, err := sim.StudyKey(sim.VPredStudy{Bench: bench, Predictor: pred, Selective: false, Params: params})
 	return job[sim.VPredGrid]{
@@ -619,11 +616,11 @@ func vpredJob(bench, pred string, params sim.VPredParams) job[sim.VPredGrid] {
 	}
 }
 
-// VPredGrid runs the value-prediction study distributed, one job per
-// (bench × predictor) pair. The returned grid appends the per-pair
-// answers' cells in request order — exactly sim.Engine.RunVPredGrid's
-// bench-major run order.
-func (c *Coordinator) VPredGrid(ctx context.Context, benches, predictors []string, params sim.VPredParams) (*sim.VPredGrid, error) {
+// RunVPredGrid implements sim.Runner: it runs the value-prediction study
+// distributed, one job per (bench × predictor) pair. The returned grid
+// appends the per-pair answers' cells in request order — exactly
+// sim.Engine.RunVPredGrid's bench-major run order.
+func (c *Coordinator) RunVPredGrid(ctx context.Context, benches, predictors []string, params sim.VPredParams) (*sim.VPredGrid, error) {
 	var jobs []job[sim.VPredGrid]
 	for _, b := range benches {
 		for _, p := range predictors {

@@ -1,8 +1,13 @@
 // Package dist is the coordinator tier of arvid's distributed sweep
-// execution: one daemon in the coordinator role decomposes a matrix or
-// study request into per-cell jobs and fans them out over HTTP to a
-// registered set of worker arvid daemons, then merges the answers into
-// exactly the response a single node would have produced.
+// execution: one daemon in the coordinator role decomposes a matrix,
+// study or artifact request into per-cell jobs and fans them out over
+// HTTP to a registered set of worker arvid daemons, then merges the
+// answers into exactly the response a single node would have produced.
+//
+// Coordinator is a sim.Runner, as the local sim.Engine is: RunEach,
+// RunSMTGrid and RunVPredGrid take the engine's arguments and return its
+// results. The server runs every sweep through whichever of the two its
+// role selects, so a new sweep endpoint fans out without dist code.
 //
 // The design leans entirely on identities the system already has:
 //
@@ -46,10 +51,11 @@
 // contract the engine uses, so a distributed sweep degrades exactly like
 // a local one.
 //
-// Merging preserves the single-node byte-identity contract. Matrix
-// results are folded into a sim.Matrix and rendered through the same
-// Export path as a local run; a study answer decodes into the sim grid
-// itself, and the merged grid appends each answer's cells in request
+// Merging preserves the single-node byte-identity contract. Run answers
+// are folded into a sim.Matrix by the same functions (sim.RunMatrix,
+// sim.RunArtifacts) a local run uses and rendered through the same
+// Export path or artifact tables; a study answer decodes into the sim
+// grid itself, and the merged grid appends each answer's cells in request
 // order, which is the local run order. The cluster tests pin
 // distributed output byte-for-byte against single-node output.
 //

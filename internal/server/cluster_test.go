@@ -185,19 +185,32 @@ func TestClusterMatrixByteIdenticalColdWarm(t *testing.T) {
 }
 
 // TestClusterStudiesByteIdentical pins byte-identity for both study
-// grids, cold and warm, against single-node output.
+// grids and a rendered artifact, cold and warm, against single-node
+// output, with every cell computed on the workers.
 func TestClusterStudiesByteIdentical(t *testing.T) {
 	cases := []struct {
 		name, path, body string
+		get              bool // a GET of path; body unused
 	}{
-		{"smt", "/v1/study/smt", `{"max_cycles":3000}`},
-		{"vpred", "/v1/study/vpred", `{"max_insts":5000}`},
+		{name: "smt", path: "/v1/study/smt", body: `{"max_cycles":3000}`},
+		{name: "vpred", path: "/v1/study/vpred", body: `{"max_insts":5000}`},
+		{name: "fig5b", path: "/v1/artifacts/fig5b?n=5000", get: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := singleNodeBaseline(t, tc.path, tc.body)
+			do := func(base string) (*http.Response, []byte) {
+				if tc.get {
+					return get(t, base+tc.path)
+				}
+				return post(t, base+tc.path, tc.body)
+			}
+			_, solo, _ := newTestServer(t, nil)
+			resp, want := do(solo.URL)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("single-node %s: status %d: %s", tc.name, resp.StatusCode, want)
+			}
 			cl := newCluster(t, 2, nil)
-			resp, got := post(t, cl.coord.ts.URL+tc.path, tc.body)
+			resp, got := do(cl.coord.ts.URL)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("distributed %s: status %d: %s", tc.name, resp.StatusCode, got)
 			}
@@ -207,7 +220,7 @@ func TestClusterStudiesByteIdentical(t *testing.T) {
 			if n := cl.coord.eng.Simulated(); n != 0 {
 				t.Errorf("coordinator simulated %d cells itself with healthy workers, want 0", n)
 			}
-			resp, warmB := post(t, cl.coord.ts.URL+tc.path, tc.body)
+			resp, warmB := do(cl.coord.ts.URL)
 			if resp.StatusCode != http.StatusOK || !bytes.Equal(warmB, want) {
 				t.Fatalf("warm distributed %s drifted (status %d)", tc.name, resp.StatusCode)
 			}

@@ -59,13 +59,7 @@ func (s *Server) streamMatrix(w http.ResponseWriter, r *http.Request, key string
 		}
 	}
 
-	// The coordinator and the engine take the same completion hook, so
-	// both roles stream through one call.
-	run := s.cfg.Engine.RunEach
-	if s.cfg.Coordinator != nil {
-		run = s.cfg.Coordinator.RunSpecs
-	}
-	results, err := run(ctx, sim.MatrixSpecs(benches, depths, modes, maxInsts), func(i int, res sim.Result, err error) {
+	results, err := s.runner.RunEach(ctx, sim.MatrixSpecs(benches, depths, modes, maxInsts), func(i int, res sim.Result, err error) {
 		if err == nil {
 			emit(dist.StreamLine{Result: &res})
 		}

@@ -22,6 +22,13 @@
 //	GET/PUT /v1/cache/{key}    the cache-peer protocol (raw entries)
 //	GET/POST /v1/workers    coordinator worker registration
 //
+// Every sweep endpoint (/v1/matrix in both forms, /v1/study/*,
+// /v1/artifacts/{name}) runs through one executor, a sim.Runner chosen
+// once in New: the daemon's Engine, or in the coordinator role its
+// dist.Coordinator, which fans the cells out to worker daemons and
+// merges their answers into the same bytes. /v1/run always runs on the
+// Engine: it is the job a coordinator sends its workers.
+//
 // Three properties keep the daemon well-behaved and its answers
 // trustworthy:
 //
@@ -71,9 +78,10 @@ const DefaultMaxTotalInsts = 64_000_000
 
 // Config parameterises a Server.
 type Config struct {
-	// Engine runs every simulation. It must be non-nil; give it a Cache
-	// and a TraceStore to get the warm-hit behaviour the service exists
-	// for.
+	// Engine runs /v1/run, and every sweep unless Coordinator is set; its
+	// cache serves the cache-peer endpoints. It must be non-nil; give it
+	// a Cache and a TraceStore to get the warm-hit behaviour the service
+	// exists for.
 	Engine *sim.Engine
 	// MaxInflight bounds concurrently *computing* requests (validation
 	// and coalesced waiters are not counted). <= 0 means twice
@@ -92,11 +100,14 @@ type Config struct {
 	// partial-result contract). <= 0 means no timeout.
 	RequestTimeout time.Duration
 	// Coordinator, when non-nil, puts the daemon in the coordinator role:
-	// matrix and study sweeps are decomposed into per-cell jobs and
-	// fanned out to the coordinator's registered workers (falling back to
-	// Engine for cells no worker could answer), and /v1/workers accepts
-	// registrations. Single-cell /v1/run requests always execute locally
-	// — they *are* the unit of distribution. See internal/dist.
+	// it runs every sweep in Engine's place (/v1/matrix in both forms,
+	// /v1/study/*, /v1/artifacts/{name}), decomposing it into per-cell
+	// jobs fanned out to its registered workers (falling back to its
+	// Local engine for cells no worker could answer), and /v1/workers
+	// accepts registrations. /v1/run stays on Engine: a single cell is
+	// the worker job itself, so fanning it out would only add a hop, and
+	// a warm one is answered from this daemon's own cache, which
+	// -cache-peers can fill from the workers'. See internal/dist.
 	Coordinator *dist.Coordinator
 }
 
@@ -104,6 +115,7 @@ type Config struct {
 // usable.
 type Server struct {
 	cfg      Config
+	runner   sim.Runner // runs the sweeps: Coordinator if set, else Engine
 	mux      *http.ServeMux
 	flights  flightGroup
 	inflight chan struct{}
@@ -126,7 +138,7 @@ type Server struct {
 	testGate func(key string)
 }
 
-// New builds a Server around the engine.
+// New builds a Server around the engine, picking the sweeps' Runner.
 func New(cfg Config) *Server {
 	if cfg.Engine == nil {
 		panic("server: Config.Engine is nil")
@@ -143,10 +155,14 @@ func New(cfg Config) *Server {
 	drainCtx, cancelDrain := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:         cfg,
+		runner:      cfg.Engine,
 		mux:         http.NewServeMux(),
 		inflight:    make(chan struct{}, cfg.MaxInflight),
 		drainCtx:    drainCtx,
 		cancelDrain: cancelDrain,
+	}
+	if cfg.Coordinator != nil {
+		s.runner = cfg.Coordinator
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/bench", s.handleCatalog)
@@ -322,6 +338,28 @@ func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	return false
 }
 
+// reject writes the first non-nil error as a 400 and reports whether
+// there was one.
+func reject(w http.ResponseWriter, errs ...error) bool {
+	for _, err := range errs {
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return true
+		}
+	}
+	return false
+}
+
+// budget resolves a request's per-cell instruction budget: zero (the
+// field omitted) means the daemon default, and a negative budget is
+// rejected with the message ?n= and `experiments -n` give.
+func (s *Server) budget(n int64) (int64, error) {
+	if n == 0 {
+		return s.cfg.DefaultInsts, nil
+	}
+	return n, sim.ValidateBudget(n)
+}
+
 // checkBudget enforces the per-request total-instruction cap. The
 // comparison is phrased as a division so a huge per-cell budget cannot
 // overflow the multiplication and slip under the cap.
@@ -485,30 +523,21 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if req.MaxInsts <= 0 {
-		req.MaxInsts = s.cfg.DefaultInsts
-	}
-	md, err := sim.ParseMode(req.Mode)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	var err error
+	if req.MaxInsts, err = s.budget(req.MaxInsts); reject(w, err) {
 		return
 	}
+	md, err := sim.ParseMode(req.Mode)
 	// Validate the threshold before narrowing to the spec's uint8 (a
 	// huge JSON value must be rejected, not silently wrapped).
-	if err := sim.ValidateConfThreshold(req.ConfThreshold); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if reject(w, err, sim.ValidateConfThreshold(req.ConfThreshold)) {
 		return
 	}
 	spec := sim.Spec{
 		Bench: req.Bench, Depth: req.Depth, Mode: md, MaxInsts: req.MaxInsts,
 		CutAtLoads: req.CutAtLoads, ConfThreshold: uint8(req.ConfThreshold),
 	}
-	if err := sim.ValidateSpec(spec); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if err := s.checkBudget(spec.MaxInsts, 1); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if reject(w, sim.ValidateSpec(spec), s.checkBudget(spec.MaxInsts, 1)) {
 		return
 	}
 	key := hashParts("run", sim.CacheKey(spec, spec.Config()))
@@ -551,33 +580,21 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	if len(req.Modes) == 0 {
 		req.Modes = sim.ModeNames
 	}
-	if req.MaxInsts <= 0 {
-		req.MaxInsts = s.cfg.DefaultInsts
+	var err error
+	if req.MaxInsts, err = s.budget(req.MaxInsts); reject(w, err) {
+		return
 	}
-	var modes []cpu.PredMode
-	for _, m := range req.Modes {
-		md, err := sim.ParseMode(m)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		modes = append(modes, md)
-	}
-	for _, b := range req.Benches {
-		if err := sim.ValidateBench(b); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
-	for _, d := range req.Depths {
-		if err := sim.ValidateDepth(d); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+	modes := make([]cpu.PredMode, len(req.Modes))
+	for i, m := range req.Modes {
+		if modes[i], err = sim.ParseMode(m); reject(w, err) {
 			return
 		}
 	}
 	cells := len(req.Benches) * len(req.Depths) * len(modes)
-	if err := s.checkBudget(req.MaxInsts, cells); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if reject(w, sim.ValidateAxis("benchmark", req.Benches, sim.ValidateBench),
+		sim.ValidateAxis("depth", req.Depths, sim.ValidateDepth),
+		sim.ValidateAxis("mode", modes, nil),
+		s.checkBudget(req.MaxInsts, cells)) {
 		return
 	}
 	// The flight key is the ordered list of the cells' cache keys — the
@@ -595,22 +612,11 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	s.coalesce(w, hashParts("matrix", parts...), func() *response {
-		mx, err := s.runMatrix(ctx, req.Benches, depths, modes, req.MaxInsts)
+		mx, err := sim.RunMatrix(ctx, s.runner, req.Benches, depths, modes, req.MaxInsts)
 		body := mx.Export(depths)
 		body.Error = errString(err, "")
 		return jsonResponse(errStatus(err), body)
 	})
-}
-
-// runMatrix runs the grid through the coordinator when this daemon has
-// one, locally otherwise. Both paths populate an identical sim.Matrix,
-// and the caller renders it through the same Export path either way —
-// that shared tail is the byte-identity contract's enforcement point.
-func (s *Server) runMatrix(ctx context.Context, benches []string, depths []int, modes []cpu.PredMode, maxInsts int64) (*sim.Matrix, error) {
-	if s.cfg.Coordinator != nil {
-		return s.cfg.Coordinator.Matrix(ctx, benches, depths, modes, maxInsts)
-	}
-	return s.cfg.Engine.RunMatrix(ctx, benches, depths, modes, maxInsts)
 }
 
 // --- POST /v1/study/{smt,vpred} -------------------------------------------
@@ -624,29 +630,21 @@ func (s *Server) handleSMT(w http.ResponseWriter, r *http.Request) {
 	if req.MaxCycles != 0 {
 		cfg.MaxCycles = req.MaxCycles
 	}
-	if err := sim.ValidateSMTCycles(cfg.MaxCycles); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	var mixes []workload.Mix
 	if len(req.Mixes) == 0 {
-		mixes = workload.Mixes()
-	} else {
-		for _, name := range req.Mixes {
-			if err := sim.ValidateMix(name); err != nil {
-				writeError(w, http.StatusBadRequest, err.Error())
-				return
-			}
-			mixes = append(mixes, workload.MixByName(name))
-		}
+		req.Mixes = workload.MixNames
 	}
 	// The cycle budget is the closest analogue of an instruction budget
 	// for this study; cap cycles × cells the same way.
-	if err := s.checkBudget(cfg.MaxCycles, len(mixes)*len(sim.SMTPolicies)); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if reject(w, sim.ValidateSMTCycles(cfg.MaxCycles),
+		sim.ValidateAxis("mix", req.Mixes, sim.ValidateMix),
+		s.checkBudget(cfg.MaxCycles, len(req.Mixes)*len(sim.SMTPolicies))) {
 		return
 	}
-	key, err := studyFlight("smt", sim.SMTStudies(mixes, sim.SMTPolicies, cfg))
+	mixes := make([]workload.Mix, len(req.Mixes))
+	for i, name := range req.Mixes {
+		mixes[i] = workload.MixByName(name)
+	}
+	key, err := studyFlight("smt", sim.SMTStudies(mixes, cfg))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -654,13 +652,7 @@ func (s *Server) handleSMT(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	s.coalesce(w, key, func() *response {
-		var g *sim.SMTGrid
-		var err error
-		if s.cfg.Coordinator != nil {
-			g, err = s.cfg.Coordinator.SMTGrid(ctx, mixes, cfg)
-		} else {
-			g, err = s.cfg.Engine.RunSMTGrid(ctx, mixes, sim.SMTPolicies, cfg)
-		}
+		g, err := s.runner.RunSMTGrid(ctx, mixes, cfg)
 		g.Error = errString(err, "")
 		return jsonResponse(errStatus(err), g)
 	})
@@ -677,32 +669,19 @@ func (s *Server) handleVPred(w http.ResponseWriter, r *http.Request) {
 	if len(req.Predictors) == 0 {
 		req.Predictors = sim.VPredPredictors
 	}
-	if req.MaxInsts <= 0 {
-		req.MaxInsts = s.cfg.DefaultInsts
+	var err error
+	if req.MaxInsts, err = s.budget(req.MaxInsts); reject(w, err) {
+		return
 	}
 	params := sim.DefaultVPredParams(req.MaxInsts)
 	if req.DepThreshold != 0 {
 		params.DepThreshold = req.DepThreshold
 	}
-	if err := sim.ValidateDepThreshold(params.DepThreshold); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	for _, b := range req.Benches {
-		if err := sim.ValidateBench(b); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
-	for _, p := range req.Predictors {
-		if err := sim.ValidatePredictor(p); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
 	cells := len(req.Benches) * len(req.Predictors) * 2 // all + selective
-	if err := s.checkBudget(req.MaxInsts, cells); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if reject(w, sim.ValidateDepThreshold(params.DepThreshold),
+		sim.ValidateAxis("benchmark", req.Benches, sim.ValidateBench),
+		sim.ValidateAxis("predictor", req.Predictors, sim.ValidatePredictor),
+		s.checkBudget(req.MaxInsts, cells)) {
 		return
 	}
 	key, err := studyFlight("vpred", sim.VPredStudies(req.Benches, req.Predictors, params))
@@ -713,13 +692,7 @@ func (s *Server) handleVPred(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	s.coalesce(w, key, func() *response {
-		var g *sim.VPredGrid
-		var err error
-		if s.cfg.Coordinator != nil {
-			g, err = s.cfg.Coordinator.VPredGrid(ctx, req.Benches, req.Predictors, params)
-		} else {
-			g, err = s.cfg.Engine.RunVPredGrid(ctx, req.Benches, req.Predictors, params)
-		}
+		g, err := s.runner.RunVPredGrid(ctx, req.Benches, req.Predictors, params)
 		g.Error = errString(err, "")
 		return jsonResponse(errStatus(err), g)
 	})
@@ -775,7 +748,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	s.coalesce(w, key, func() *response {
-		mx, err := s.cfg.Engine.RunArtifacts(ctx, arts, budget, depth)
+		mx, err := sim.RunArtifacts(ctx, s.runner, arts, budget, depth)
 		var body bytes.Buffer
 		if err == nil {
 			err = sim.RenderArtifacts(&body, arts, mx, depth)

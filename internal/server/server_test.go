@@ -128,14 +128,14 @@ func TestCLIExportMatchesHTTPBody(t *testing.T) {
 		export     func(io.Writer) error
 	}{
 		{"/v1/matrix", budget, func(w io.Writer) error {
-			mx, err := eng.RunMatrix(ctx, workload.Names, sim.Depths, sim.Modes, testInsts)
+			mx, err := sim.RunMatrix(ctx, eng, workload.Names, sim.Depths, sim.Modes, testInsts)
 			if err != nil {
 				return err
 			}
 			return mx.WriteJSON(w, sim.Depths)
 		}},
 		{"/v1/study/smt", `{"max_cycles":3000}`, func(w io.Writer) error {
-			g, err := eng.RunSMTGrid(ctx, workload.Mixes(), sim.SMTPolicies, smtCfg)
+			g, err := eng.RunSMTGrid(ctx, workload.Mixes(), smtCfg)
 			if err != nil {
 				return err
 			}
@@ -351,6 +351,64 @@ func TestValidationErrorsMatchCLI(t *testing.T) {
 			name: "non-positive artifact budget", path: "/v1/artifacts/fig5b?n=-1", get: true,
 			wantStatus: http.StatusBadRequest,
 			wantMsg:    sim.ValidateBudget(-1).Error(),
+		},
+		{
+			// Zero (or an omitted field) means the default budget; a
+			// negative one is an error, as it is for ?n= and -n.
+			name: "negative run budget", path: "/v1/run",
+			body:       `{"bench":"li","depth":20,"mode":"baseline","max_insts":-5}`,
+			wantStatus: http.StatusBadRequest,
+			wantMsg:    sim.ValidateBudget(-5).Error(),
+		},
+		{
+			name: "negative matrix budget", path: "/v1/matrix",
+			body:       `{"benches":["li"],"depths":[20],"max_insts":-5}`,
+			wantStatus: http.StatusBadRequest,
+			wantMsg:    sim.ValidateBudget(-5).Error(),
+		},
+		{
+			name: "negative vpred budget", path: "/v1/study/vpred",
+			body:       `{"benches":["li"],"max_insts":-5}`,
+			wantStatus: http.StatusBadRequest,
+			wantMsg:    sim.ValidateBudget(-5).Error(),
+		},
+		{
+			// A repeated axis value would run and report its cells twice.
+			name: "matrix repeated benchmark", path: "/v1/matrix",
+			body:       `{"benches":["li","gcc","li"],"depths":[20]}`,
+			wantStatus: http.StatusBadRequest,
+			wantMsg:    sim.ValidateAxis("benchmark", []string{"li", "li"}, nil).Error(),
+		},
+		{
+			name: "matrix repeated depth", path: "/v1/matrix",
+			body:       `{"benches":["li"],"depths":[20,20],"modes":["baseline"]}`,
+			wantStatus: http.StatusBadRequest,
+			wantMsg:    sim.ValidateAxis("depth", []int{20, 20}, nil).Error(),
+		},
+		{
+			// Two spellings of one mode are one mode.
+			name: "matrix repeated mode alias", path: "/v1/matrix",
+			body:       `{"benches":["li"],"depths":[20],"modes":["baseline","2lvl-2bc-gskew"]}`,
+			wantStatus: http.StatusBadRequest,
+			wantMsg:    sim.ValidateAxis("mode", []string{"2lvl-2bc-gskew", "2lvl-2bc-gskew"}, nil).Error(),
+		},
+		{
+			name: "smt repeated mix", path: "/v1/study/smt",
+			body:       `{"mixes":["ijpeg+li","ijpeg+li"]}`,
+			wantStatus: http.StatusBadRequest,
+			wantMsg:    sim.ValidateAxis("mix", []string{"ijpeg+li", "ijpeg+li"}, nil).Error(),
+		},
+		{
+			name: "vpred repeated benchmark", path: "/v1/study/vpred",
+			body:       `{"benches":["li","li"],"predictors":["stride"]}`,
+			wantStatus: http.StatusBadRequest,
+			wantMsg:    sim.ValidateAxis("benchmark", []string{"li", "li"}, nil).Error(),
+		},
+		{
+			name: "vpred repeated predictor", path: "/v1/study/vpred",
+			body:       `{"benches":["li"],"predictors":["stride","last-value","stride"]}`,
+			wantStatus: http.StatusBadRequest,
+			wantMsg:    sim.ValidateAxis("predictor", []string{"stride", "stride"}, nil).Error(),
 		},
 	}
 	for _, tc := range cases {

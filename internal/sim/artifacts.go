@@ -99,11 +99,11 @@ func ArtifactSpecs(arts []Artifact, maxInsts int64, depth int, extra ...Spec) []
 }
 
 // RunArtifacts is the artifacts' one driver: it runs ArtifactSpecs(arts,
-// maxInsts, depth, extra...) on Engine.Run and gathers the cells into one
-// Matrix for RenderArtifacts. It keeps Run's partial-result contract: the
-// matrix holds every completed cell and the error joins the failures.
-func (e *Engine) RunArtifacts(ctx context.Context, arts []Artifact, maxInsts int64, depth int, extra ...Spec) (*Matrix, error) {
-	return e.runMatrix(ctx, ArtifactSpecs(arts, maxInsts, depth, extra...), maxInsts)
+// maxInsts, depth, extra...) on r and gathers the cells into one Matrix
+// for RenderArtifacts. It keeps Run's partial-result contract: the matrix
+// holds every completed cell and the error joins the failures.
+func RunArtifacts(ctx context.Context, r Runner, arts []Artifact, maxInsts int64, depth int, extra ...Spec) (*Matrix, error) {
+	return runMatrix(ctx, r, ArtifactSpecs(arts, maxInsts, depth, extra...), maxInsts)
 }
 
 // RenderArtifacts writes the artifacts' tables, in order.

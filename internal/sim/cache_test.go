@@ -211,7 +211,7 @@ func TestCacheEntryFormatMigration(t *testing.T) {
 func TestResumedRunSimulatesOnlyMissingCells(t *testing.T) {
 	c := openCache(t)
 	cold := &Engine{Cache: c}
-	if _, err := cold.RunMatrix(context.Background(), []string{"gcc"}, []int{20}, Modes[:2], 5000); err != nil {
+	if _, err := RunMatrix(context.Background(), cold, []string{"gcc"}, []int{20}, Modes[:2], 5000); err != nil {
 		t.Fatal(err)
 	}
 	if cold.Simulated() != 2 {
@@ -220,7 +220,7 @@ func TestResumedRunSimulatesOnlyMissingCells(t *testing.T) {
 	// A fresh engine over the same cache, asked for an enlarged grid,
 	// must only simulate the cells the cold run never produced.
 	warm := &Engine{Cache: c}
-	mx, err := warm.RunMatrix(context.Background(), []string{"gcc"}, []int{20}, Modes, 5000)
+	mx, err := RunMatrix(context.Background(), warm, []string{"gcc"}, []int{20}, Modes, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}

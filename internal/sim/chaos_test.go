@@ -36,7 +36,7 @@ const chaosBudget = 2000
 func chaosBaseline(t *testing.T) *Matrix {
 	t.Helper()
 	eng := &Engine{}
-	mx, err := eng.RunMatrix(context.Background(), chaosBenches, chaosDepths, chaosModes, chaosBudget)
+	mx, err := RunMatrix(context.Background(), eng, chaosBenches, chaosDepths, chaosModes, chaosBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestChaosMatrixByteIdenticalUnderFaultSchedules(t *testing.T) {
 				t.Fatalf("open under faults must fail cleanly or succeed: %v", err)
 			}
 			eng := &Engine{Cache: c, Traces: ts}
-			mx, err := eng.RunMatrix(context.Background(), chaosBenches, chaosDepths, chaosModes, chaosBudget)
+			mx, err := RunMatrix(context.Background(), eng, chaosBenches, chaosDepths, chaosModes, chaosBudget)
 			// A fault schedule may surface as a joined per-cell error, but
 			// the cells that did complete must match the baseline exactly,
 			// and no run may strand temp files.
@@ -145,7 +145,7 @@ func TestChaosMatrixByteIdenticalUnderFaultSchedules(t *testing.T) {
 				t.Fatal(err)
 			}
 			warm := &Engine{Cache: c2, Traces: ts2}
-			mx2, err := warm.RunMatrix(context.Background(), chaosBenches, chaosDepths, chaosModes, chaosBudget)
+			mx2, err := RunMatrix(context.Background(), warm, chaosBenches, chaosDepths, chaosModes, chaosBudget)
 			if err != nil {
 				t.Fatalf("healed run failed: %v", err)
 			}
@@ -454,7 +454,7 @@ func TestChaosDegradedEngineEndToEnd(t *testing.T) {
 	ffs.Break() // disk gone before the first write
 
 	eng := &Engine{Cache: c}
-	mx, err := eng.RunMatrix(context.Background(), chaosBenches, chaosDepths, chaosModes, chaosBudget)
+	mx, err := RunMatrix(context.Background(), eng, chaosBenches, chaosDepths, chaosModes, chaosBudget)
 	// The first two Puts fail loudly (joined error); the rest go memory-
 	// only. Either way every cell must be present and correct.
 	if err == nil {
@@ -468,7 +468,7 @@ func TestChaosDegradedEngineEndToEnd(t *testing.T) {
 	// A second engine over the same (still broken) cache: the overlay
 	// serves every cell without re-simulating or touching the disk.
 	warm := &Engine{Cache: c}
-	mx2, err := warm.RunMatrix(context.Background(), chaosBenches, chaosDepths, chaosModes, chaosBudget)
+	mx2, err := RunMatrix(context.Background(), warm, chaosBenches, chaosDepths, chaosModes, chaosBudget)
 	if err != nil {
 		t.Fatalf("degraded warm run must succeed silently: %v", err)
 	}
@@ -494,7 +494,7 @@ func TestChaosDegradedEngineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := &Engine{Cache: c2}
-	mx3, err := cold.RunMatrix(context.Background(), chaosBenches, chaosDepths, chaosModes, chaosBudget)
+	mx3, err := RunMatrix(context.Background(), cold, chaosBenches, chaosDepths, chaosModes, chaosBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +521,7 @@ func TestChaosCancellationGoroutineHygiene(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the sweep: every cell must fail cleanly
 	eng := &Engine{Cache: c}
-	mx, err := eng.RunMatrix(ctx, chaosBenches, chaosDepths, chaosModes, chaosBudget)
+	mx, err := RunMatrix(ctx, eng, chaosBenches, chaosDepths, chaosModes, chaosBudget)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled sweep error = %v, want context.Canceled", err)
 	}
@@ -534,7 +534,7 @@ func TestChaosCancellationGoroutineHygiene(t *testing.T) {
 	timer := time.AfterFunc(5*time.Millisecond, cancel2)
 	defer timer.Stop()
 	defer cancel2()
-	_, err = eng.RunMatrix(ctx2, chaosBenches, chaosDepths, chaosModes, 50_000_000)
+	_, err = RunMatrix(ctx2, eng, chaosBenches, chaosDepths, chaosModes, 50_000_000)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel error = %v, want context.Canceled", err)
 	}
@@ -551,7 +551,7 @@ func TestChaosCancellationGoroutineHygiene(t *testing.T) {
 	// The canceled runs must not have poisoned the cache: a warm run over
 	// the same directory reproduces the uncanceled baseline exactly.
 	warm := &Engine{Cache: c}
-	mx3, err := warm.RunMatrix(context.Background(), chaosBenches, chaosDepths, chaosModes, chaosBudget)
+	mx3, err := RunMatrix(context.Background(), warm, chaosBenches, chaosDepths, chaosModes, chaosBudget)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,14 +20,21 @@
 // therefore gets pooling, caching and the partial-result contract by
 // implementing Study.
 //
+// Runner is the interface of a sweep executor: RunEach over specs, and
+// RunSMTGrid and RunVPredGrid over the two studies. Engine implements it
+// locally; internal/dist's Coordinator implements it by fanning the
+// cells out to worker daemons. The functions over it (RunMatrix,
+// RunArtifacts) fold either executor's results into the same Matrix, so
+// a front end holds one Runner and renders the same bytes in any role.
+//
 // Main entry points:
 //
-//   - Spec / Simulate / Engine.Run / Engine.RunMatrix — the Section 5
+//   - Spec / Simulate / Engine.Run / RunMatrix — the Section 5
 //     branch-prediction cells and grids; MatrixSpecs enumerates a grid's
 //     cells, Matrix holds a (possibly partial) grid and
 //     Fig5a/Fig5b/Fig6Accuracy/Fig6IPC/Table2/Table4 render the paper's
 //     artifacts from it.
-//   - Artifacts / Engine.RunArtifacts / RenderArtifacts — the seven text
+//   - Artifacts / RunArtifacts / RenderArtifacts — the seven text
 //     artifacts (Tables 2 and 4, Figures 5(a), 5(b) and 6 with the
 //     headline, and the two ablation sweeps), declared once: each entry
 //     names the cells it reads at a budget and a depth and the tables it
@@ -38,8 +45,8 @@
 //     service's /v1/artifacts both render through it.
 //   - Study / RunStudies — the cache-keyed cell contract of the Section 3
 //     studies; Engine.RunSMTGrid and Engine.RunVPredGrid wire the two
-//     studies through it, over the cells SMTStudies and VPredStudies
-//     enumerate.
+//     studies through it, over the cells SMTStudies (every mix under
+//     every SMTPolicies policy) and VPredStudies enumerate.
 //   - MatrixExport (Matrix.Export), SMTGrid and VPredGrid — each grid's
 //     one JSON body: the CLI's -json file, the service's response and
 //     the worker answer the dist coordinator decodes. One JSON writer

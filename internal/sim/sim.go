@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cpu"
+	"repro/internal/smt"
 	"repro/internal/workload"
 )
 
@@ -309,15 +310,15 @@ func (e *Engine) Run(ctx context.Context, specs []Spec) ([]Result, error) {
 	return e.RunEach(ctx, specs, nil)
 }
 
-// RunEach is Run with a completion hook, the same one dist's
-// Coordinator.RunSpecs takes: done (when non-nil) is invoked once per spec
-// as that spec settles, from the worker goroutine that ran it, so callers
-// can stream incremental cell results while the sweep is still in flight.
-// done receives the spec's index and either its result or its failure (a
-// failed spec reports a zero Result); a cache write-back failure does not
-// fail the spec — it is only joined into the returned error. done must be
-// safe for concurrent use. The returned slice and joined error follow
-// Run's partial-result contract exactly.
+// RunEach is Run with a completion hook, the one every Runner takes: done
+// (when non-nil) is invoked once per spec as that spec settles, from the
+// worker goroutine that ran it, so callers can stream incremental cell
+// results while the sweep is still in flight. done receives the spec's
+// index and either its result or its failure (a failed spec reports a
+// zero Result); a cache write-back failure does not fail the spec — it is
+// only joined into the returned error. done must be safe for concurrent
+// use. The returned slice and joined error follow Run's partial-result
+// contract exactly.
 func (e *Engine) RunEach(ctx context.Context, specs []Spec, done func(i int, r Result, err error)) ([]Result, error) {
 	c := &specCells{results: make([]Result, len(specs))}
 	for i, s := range specs {
@@ -338,10 +339,8 @@ func (e *Engine) RunEach(ctx context.Context, specs []Spec, done func(i int, r R
 }
 
 // MatrixSpecs enumerates the (bench × depth × mode) grid in the canonical
-// bench-major order RunMatrix simulates. It is the shared cell-extraction
-// step between the local runner and the distributed coordinator: both
-// must decompose a matrix request into exactly these specs, in exactly
-// this order, for their merged renderings to agree byte for byte.
+// bench-major order RunMatrix runs it in. The service keys its matrix
+// flights by these specs, in this order.
 func MatrixSpecs(benches []string, depths []int, modes []cpu.PredMode, maxInsts int64) []Spec {
 	specs := make([]Spec, 0, len(benches)*len(depths)*len(modes))
 	for _, b := range benches {
@@ -354,37 +353,43 @@ func MatrixSpecs(benches []string, depths []int, modes []cpu.PredMode, maxInsts 
 	return specs
 }
 
-// RunMatrix runs every (bench × depth × mode) combination requested and
-// collects the completed cells into a Matrix. On partial failure the
-// matrix holds every completed cell and the error joins the per-cell
-// failures; renderers that go through Matrix.Lookup degrade gracefully.
-func (e *Engine) RunMatrix(ctx context.Context, benches []string, depths []int, modes []cpu.PredMode, maxInsts int64) (*Matrix, error) {
-	return e.runMatrix(ctx, MatrixSpecs(benches, depths, modes, maxInsts), maxInsts)
+// Runner executes sweeps. The Engine runs their cells on this process's
+// pool and cache; dist's Coordinator fans them out to worker daemons.
+// Both return the same cells in the same order under the same
+// partial-result contract, so a front end holds one Runner and renders
+// its results the same way in either role.
+type Runner interface {
+	// RunEach runs the specs under Engine.RunEach's contract: the
+	// completed results in spec order, per-spec failures joined, and done
+	// (when non-nil) fired per spec as it settles.
+	RunEach(ctx context.Context, specs []Spec, done func(i int, r Result, err error)) ([]Result, error)
+	// RunSMTGrid runs the SMT fetch-policy study: every mix under every
+	// policy of SMTPolicies.
+	RunSMTGrid(ctx context.Context, mixes []workload.Mix, cfg smt.Config) (*SMTGrid, error)
+	// RunVPredGrid runs the selective value-prediction ablation: every
+	// (benchmark × predictor), all instructions and selective.
+	RunVPredGrid(ctx context.Context, benches, predictors []string, params VPredParams) (*VPredGrid, error)
 }
 
-// runMatrix runs the specs (all at the budget) and collects the completed
-// cells into a Matrix, under Run's partial-result contract.
-func (e *Engine) runMatrix(ctx context.Context, specs []Spec, maxInsts int64) (*Matrix, error) {
-	res, err := e.Run(ctx, specs)
+var _ Runner = (*Engine)(nil)
+
+// RunMatrix runs every (bench × depth × mode) combination requested on r
+// and collects the completed cells into a Matrix. On partial failure the
+// matrix holds every completed cell and the error joins the per-cell
+// failures; renderers that go through Matrix.Lookup degrade gracefully.
+func RunMatrix(ctx context.Context, r Runner, benches []string, depths []int, modes []cpu.PredMode, maxInsts int64) (*Matrix, error) {
+	return runMatrix(ctx, r, MatrixSpecs(benches, depths, modes, maxInsts), maxInsts)
+}
+
+// runMatrix runs the specs (all at the budget) on r and folds the
+// completed cells into a Matrix, under Run's partial-result contract.
+func runMatrix(ctx context.Context, r Runner, specs []Spec, maxInsts int64) (*Matrix, error) {
+	res, err := r.RunEach(ctx, specs, nil)
 	mx := &Matrix{m: make(map[matrixKey]cpu.Stats, len(res)), MaxInsts: maxInsts}
 	for _, r := range res {
 		mx.Add(r)
 	}
 	return mx, err
-}
-
-// RunAll executes the given specs concurrently (bounded by GOMAXPROCS) on
-// a throwaway uncached Engine. See Engine.Run for the partial-result
-// contract.
-func RunAll(ctx context.Context, specs []Spec) ([]Result, error) {
-	var e Engine
-	return e.Run(ctx, specs)
-}
-
-// RunMatrix runs the grid on a throwaway uncached Engine.
-func RunMatrix(ctx context.Context, benches []string, depths []int, modes []cpu.PredMode, maxInsts int64) (*Matrix, error) {
-	var e Engine
-	return e.RunMatrix(ctx, benches, depths, modes, maxInsts)
 }
 
 // Modes lists the four Section 5 configurations in presentation order.

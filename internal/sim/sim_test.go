@@ -14,7 +14,7 @@ import (
 
 func smallMatrix(t *testing.T, benches []string, depths []int, modes []cpu.PredMode) *Matrix {
 	t.Helper()
-	mx, err := RunMatrix(context.Background(), benches, depths, modes, 8000)
+	mx, err := RunMatrix(context.Background(), &Engine{}, benches, depths, modes, 8000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestRunAllOrderAndParallel(t *testing.T) {
 		{Bench: "li", Depth: 40, Mode: cpu.PredARVICurrent, MaxInsts: 4000},
 		{Bench: "perl", Depth: 60, Mode: cpu.PredARVIPerfect, MaxInsts: 4000},
 	}
-	res, err := RunAll(context.Background(), specs)
+	res, err := (&Engine{}).Run(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestRunAllPartialResults(t *testing.T) {
 		{Bench: "li", Depth: 0, Mode: cpu.PredARVICurrent, MaxInsts: 4000}, // invalid depth
 		{Bench: "perl", Depth: 40, Mode: cpu.PredARVIPerfect, MaxInsts: 4000},
 	}
-	res, err := RunAll(context.Background(), specs)
+	res, err := (&Engine{}).Run(context.Background(), specs)
 	if err == nil {
 		t.Fatal("expected a joined error from the injected failures")
 	}
@@ -394,7 +394,7 @@ func TestHeadlineShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("headline shape needs a non-trivial instruction budget")
 	}
-	mx, err := RunMatrix(context.Background(), workload.Names, []int{20, 60}, Modes, 150_000)
+	mx, err := RunMatrix(context.Background(), &Engine{}, workload.Names, []int{20, 60}, Modes, 150_000)
 	if err != nil {
 		t.Fatal(err)
 	}

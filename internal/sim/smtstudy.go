@@ -118,9 +118,9 @@ type SMTGrid struct {
 	// body only.
 	Error string `json:"error,omitempty"`
 
-	// Mixes and Policies are the requested axes the tables render.
-	Mixes    []workload.Mix `json:"-"`
-	Policies []smt.Policy   `json:"-"`
+	// Mixes is the requested mix axis the tables render; the policy axis
+	// is always SMTPolicies.
+	Mixes []workload.Mix `json:"-"`
 }
 
 // SMTRecord is one exported SMT grid cell: its coordinates, its derived
@@ -150,17 +150,18 @@ func (g *SMTGrid) Lookup(mix string, p smt.Policy) (SMTStats, bool) {
 // Len reports the number of populated cells.
 func (g *SMTGrid) Len() int { return len(g.Cells) }
 
-// SMTStudies enumerates the (mix × policy) cells in the canonical
-// mix-major order RunSMTGrid runs them and the service keys its flights
-// by. Each mix is resolved once and shared by its policy cells, since
-// building a benchmark regenerates and reassembles its program; a mix
-// that fails to resolve stays unresolved, so each of its cells' Simulate
-// surfaces the failure through the usual partial-result contract.
-func SMTStudies(mixes []workload.Mix, policies []smt.Policy, cfg smt.Config) []SMTStudy {
-	studies := make([]SMTStudy, 0, len(mixes)*len(policies))
+// SMTStudies enumerates the (mix × policy) cells, every mix under every
+// policy of SMTPolicies, in the canonical mix-major order RunSMTGrid runs
+// them and the service keys its flights by. Each mix is resolved once
+// and shared by its policy cells, since building a benchmark regenerates
+// and reassembles its program; a mix that fails to resolve stays
+// unresolved, so each of its cells' Simulate surfaces the failure
+// through the usual partial-result contract.
+func SMTStudies(mixes []workload.Mix, cfg smt.Config) []SMTStudy {
+	studies := make([]SMTStudy, 0, len(mixes)*len(SMTPolicies))
 	for _, m := range mixes {
 		benches, _ := m.Programs()
-		for _, p := range policies {
+		for _, p := range SMTPolicies {
 			studies = append(studies, SMTStudy{Mix: m, Policy: p, Config: cfg, benches: benches})
 		}
 	}
@@ -170,9 +171,9 @@ func SMTStudies(mixes []workload.Mix, policies []smt.Policy, cfg smt.Config) []S
 // RunSMTGrid evaluates every (mix × policy) cell through the engine's
 // worker pool and cache, with the usual partial-result contract: the grid
 // holds everything that completed and the error joins per-cell failures.
-func (e *Engine) RunSMTGrid(ctx context.Context, mixes []workload.Mix, policies []smt.Policy, cfg smt.Config) (*SMTGrid, error) {
-	res, err := RunStudies[SMTStudy, SMTStats](ctx, e, SMTStudies(mixes, policies, cfg))
-	g := &SMTGrid{Config: cfg, Cells: make([]SMTRecord, 0, len(res)), Mixes: mixes, Policies: policies}
+func (e *Engine) RunSMTGrid(ctx context.Context, mixes []workload.Mix, cfg smt.Config) (*SMTGrid, error) {
+	res, err := RunStudies[SMTStudy, SMTStats](ctx, e, SMTStudies(mixes, cfg))
+	g := &SMTGrid{Config: cfg, Cells: make([]SMTRecord, 0, len(res)), Mixes: mixes}
 	for _, r := range res {
 		s, st := r.Study, r.Stats
 		g.Cells = append(g.Cells, SMTRecord{
@@ -195,10 +196,10 @@ func SMTThroughputTable(g *SMTGrid) Table {
 		Note:   "Section 3: per-thread DDT chain length as the fetch-priority signal",
 		Header: []string{"mix"},
 	}
-	for _, p := range g.Policies {
+	for _, p := range SMTPolicies {
 		t.Header = append(t.Header, p.String())
 	}
-	for _, p := range g.Policies {
+	for _, p := range SMTPolicies {
 		if p != smt.RoundRobin {
 			t.Header = append(t.Header, p.String()+"/rr")
 		}
@@ -206,14 +207,14 @@ func SMTThroughputTable(g *SMTGrid) Table {
 	for _, m := range g.Mixes {
 		row := []string{m.Name}
 		rr, rrOK := g.Lookup(m.Name, smt.RoundRobin)
-		for _, p := range g.Policies {
+		for _, p := range SMTPolicies {
 			if st, ok := g.Lookup(m.Name, p); ok {
 				row = append(row, f3(st.Throughput()))
 			} else {
 				row = append(row, na)
 			}
 		}
-		for _, p := range g.Policies {
+		for _, p := range SMTPolicies {
 			if p == smt.RoundRobin {
 				continue
 			}
@@ -239,7 +240,7 @@ func SMTBalanceTable(g *SMTGrid) Table {
 		Header: []string{"mix", "policy", "per-thread", "peak window"},
 	}
 	for _, m := range g.Mixes {
-		for _, p := range g.Policies {
+		for _, p := range SMTPolicies {
 			st, ok := g.Lookup(m.Name, p)
 			if !ok {
 				t.AddRow(m.Name, p.String(), na, na)

@@ -30,7 +30,7 @@ func TestSMTGridColdWarm(t *testing.T) {
 	c := openCache(t)
 	mixes := workload.Mixes()[:2]
 	cold := &Engine{Cache: c}
-	g1, err := cold.RunSMTGrid(context.Background(), mixes, SMTPolicies, testSMTConfig())
+	g1, err := cold.RunSMTGrid(context.Background(), mixes, testSMTConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestSMTGridColdWarm(t *testing.T) {
 	}
 
 	warm := &Engine{Cache: c}
-	g2, err := warm.RunSMTGrid(context.Background(), mixes, SMTPolicies, testSMTConfig())
+	g2, err := warm.RunSMTGrid(context.Background(), mixes, testSMTConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

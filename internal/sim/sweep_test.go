@@ -17,7 +17,7 @@ func runArtifact(t *testing.T, name string, maxInsts int64) (Artifact, *Matrix) 
 		t.Fatalf("no artifact %q", name)
 	}
 	var eng Engine
-	mx, err := eng.RunArtifacts(context.Background(), []Artifact{a}, maxInsts, 20)
+	mx, err := RunArtifacts(context.Background(), &eng, []Artifact{a}, maxInsts, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSweepPartialFailureKeepsCompletedCells(t *testing.T) {
 	}
 	var eng Engine
 	arts := []Artifact{{Name: "inject", Specs: s.specs, Tables: s.tables}}
-	mx, err := eng.RunArtifacts(context.Background(), arts, 2000, 20)
+	mx, err := RunArtifacts(context.Background(), &eng, arts, 2000, 20)
 	if err == nil || !strings.Contains(err.Error(), "depth") {
 		t.Fatalf("err = %v, want the broken point's joined failures", err)
 	}
@@ -139,7 +139,7 @@ func TestArtifactTable(t *testing.T) {
 		}
 	}
 	var eng Engine
-	mx, err := eng.RunArtifacts(context.Background(), Artifacts, 1000, 20)
+	mx, err := RunArtifacts(context.Background(), &eng, Artifacts, 1000, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

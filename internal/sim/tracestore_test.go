@@ -90,7 +90,7 @@ func TestRunMatrixExecutesEachBenchmarkOnce(t *testing.T) {
 	modes := []cpu.PredMode{cpu.PredBaseline2Lvl, cpu.PredARVICurrent, cpu.PredARVIPerfect}
 	const budget = 3000
 
-	mx, err := eng.RunMatrix(context.Background(), benches, depths, modes, budget)
+	mx, err := RunMatrix(context.Background(), eng, benches, depths, modes, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestEngineWithCacheAndTraces(t *testing.T) {
 	modes := []cpu.PredMode{cpu.PredBaseline2Lvl, cpu.PredARVICurrent, cpu.PredARVIPerfect}
 
 	e1 := &Engine{Cache: c, Traces: store}
-	if _, err := e1.RunMatrix(context.Background(), []string{"compress"}, []int{20}, modes, 2500); err != nil {
+	if _, err := RunMatrix(context.Background(), e1, []string{"compress"}, []int{20}, modes, 2500); err != nil {
 		t.Fatal(err)
 	}
 	if store.Recorded() != 1 || e1.Simulated() != int64(len(modes)) {
@@ -318,7 +318,7 @@ func TestEngineWithCacheAndTraces(t *testing.T) {
 	}
 
 	e2 := &Engine{Cache: c, Traces: memStore(t, 0)}
-	if _, err := e2.RunMatrix(context.Background(), []string{"compress"}, []int{20}, modes, 2500); err != nil {
+	if _, err := RunMatrix(context.Background(), e2, []string{"compress"}, []int{20}, modes, 2500); err != nil {
 		t.Fatal(err)
 	}
 	if e2.Traces.Recorded() != 0 || e2.Simulated() != 0 || e2.CacheHits() != int64(len(modes)) {

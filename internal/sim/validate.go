@@ -57,6 +57,26 @@ func ValidateBudget(n int64) error {
 	return nil
 }
 
+// ValidateAxis applies valid (nil: none) to each value of one axis of a
+// grid request and rejects a value listed twice, which would run and
+// report the same cells twice. Values compare as given, so an axis whose
+// names have aliases (modes) is checked after parsing.
+func ValidateAxis[T comparable](axis string, values []T, valid func(T) error) error {
+	seen := make(map[T]bool, len(values))
+	for _, v := range values {
+		if valid != nil {
+			if err := valid(v); err != nil {
+				return err
+			}
+		}
+		if seen[v] {
+			return fmt.Errorf("%s %v listed twice", axis, v)
+		}
+		seen[v] = true
+	}
+	return nil
+}
+
 // ValidateBench rejects a benchmark name outside the compiled-in suite.
 func ValidateBench(name string) error {
 	if _, ok := workload.Lookup(name); !ok {

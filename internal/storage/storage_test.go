@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -35,6 +37,46 @@ func TestOSRoundTrip(t *testing.T) {
 	_, err = fs.ReadFile(q)
 	if !IsNotExist(err) {
 		t.Fatalf("IsNotExist(%v) = false after Remove", err)
+	}
+}
+
+// TestTierConcurrentPutOneKey pins that concurrent writers of one key
+// never trip over each other's temp file: every Put succeeds, the file
+// holds the entry and no *.tmp is left behind.
+func TestTierConcurrentPutOneKey(t *testing.T) {
+	dir := t.TempDir()
+	tier, err := OpenTier(dir, ".json", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := strings.Repeat("ab", 32)
+	want := []byte(`{"entry":1}`)
+	const writers = 8
+	for round := 0; round < 50; round++ {
+		var start, done sync.WaitGroup
+		start.Add(1)
+		errs := make([]error, writers)
+		for i := range errs {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				start.Wait()
+				errs[i] = tier.Put(key, want)
+			}()
+		}
+		start.Done()
+		done.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d, writer %d: %v", round, i, err)
+			}
+		}
+	}
+	if b, err := os.ReadFile(filepath.Join(dir, key+".json")); err != nil || !bytes.Equal(b, want) {
+		t.Fatalf("entry holds %q (%v), want %q", b, err, want)
+	}
+	if orphans, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(orphans) != 0 {
+		t.Fatalf("concurrent writes left temp files: %v", orphans)
 	}
 }
 

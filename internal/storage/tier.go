@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"crypto/rand"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -18,9 +19,11 @@ import (
 //   - Files. Key k lives in dir/k+ext, written atomically (temp file +
 //     rename) so a crash mid-write leaves the old file or none, never a
 //     torn file a later read would half-trust; the temp file is removed
-//     on any failure. The temp name is derived from the key, not
-//     randomized: keys are content addresses, so concurrent writers of
-//     one key write identical bytes and the last rename wins harmlessly.
+//     on any failure. Every write has its own temp name, k+ext, a random
+//     token, then .tmp, so concurrent writers of one key (goroutines, or
+//     processes sharing the directory) never rename or remove each
+//     other's temp file. Keys are content addresses, so they write
+//     identical bytes and whichever rename lands last installs them.
 //   - Breaker. Reads skip the disk while the breaker is open, and a read
 //     error other than not-exist feeds it. While it is open, writes park
 //     in the overlay except the one probe per probation window. A failed
@@ -272,12 +275,13 @@ func (t *Tier) flush() {
 	}
 }
 
-// write is the atomic temp+rename file write. On any failure the temp
-// file is removed: a half-written (ENOSPC) temp or an injected rename
-// fault must not leave *.tmp orphans in the directory.
+// write is the atomic temp+rename file write, through a temp file no
+// other write uses. On any failure the temp file is removed: a
+// half-written (ENOSPC) temp or an injected rename fault must not leave
+// *.tmp orphans in the directory.
 func (t *Tier) write(key string, b []byte) error {
 	p := t.path(key)
-	tmp := p + ".tmp"
+	tmp := p + "." + rand.Text() + ".tmp"
 	if err := t.fs.WriteFile(tmp, b, 0o644); err != nil {
 		_ = t.fs.Remove(tmp)
 		return err

@@ -1,8 +1,9 @@
 #!/bin/sh
 # cluster_smoke.sh — boot a real cluster (one coordinator, two workers)
 # plus a solo daemon from the built arvid binary, sweep the same small
-# matrix through both paths, and assert the distributed response is
-# byte-identical to the single-node one. The in-process cluster suite
+# matrix and render the same artifact through both paths, and assert the
+# distributed responses are byte-identical to the single-node ones, with
+# every cell computed on a worker. The in-process cluster suite
 # (internal/server's TestCluster*) covers the behaviour matrix; this
 # script proves the wiring holds for real processes over real sockets.
 #
@@ -83,5 +84,18 @@ if [ "$lines" -ne 17 ]; then
     exit 1
 fi
 tail -n 1 "$tmp/stream.ndjson" | grep -q '"done"'
+
+# Artifacts fan out like sweeps: the coordinator's fig5b is the solo
+# daemon's, byte for byte, and the coordinator simulated nothing itself.
+curl -sf 'http://127.0.0.1:8750/v1/artifacts/fig5b?n=20000' > "$tmp/single-fig5b.txt"
+curl -sf 'http://127.0.0.1:8753/v1/artifacts/fig5b?n=20000' > "$tmp/dist-fig5b.txt"
+cmp "$tmp/single-fig5b.txt" "$tmp/dist-fig5b.txt"
+curl -sf http://127.0.0.1:8753/healthz > "$tmp/health.json"
+if ! grep -q '"simulated": 0,' "$tmp/health.json"; then
+    echo "cluster_smoke: coordinator simulated cells itself with healthy workers" >&2
+    cat "$tmp/health.json" >&2
+    exit 1
+fi
+echo "cluster_smoke: distributed fig5b byte-identical to single-node, all cells on workers"
 
 echo "cluster_smoke: ok"
