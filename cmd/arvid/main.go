@@ -28,8 +28,11 @@
 // A coordinator decomposes every sweep — /v1/matrix, /v1/study/* and
 // /v1/artifacts/* — into per-cell jobs keyed by the result cache's own
 // content hashes, fans them out to the workers with retries and backoff,
-// and merges answers byte-identically to a single-node run; a single
-// /v1/run is the worker job itself and runs where it lands. -cache-peers
+// and merges answers byte-identically to a single-node run; it answers a
+// job its own cache holds without a worker and keeps every worker answer
+// there. A single /v1/run is the worker job itself and runs where it
+// lands. Worker and peer URLs must be absolute http(s) with a host and
+// no query or fragment (exit status 2 otherwise). -cache-peers
 // lets any daemon serve local cache misses from its peers' caches over
 // GET/PUT /v1/cache/{key}.
 //
@@ -55,6 +58,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -98,6 +102,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "arvid: -workers-list only applies to -role coordinator\n")
 		os.Exit(2)
 	}
+	// The base-URL rule (and its message) is POST /v1/workers' too; see
+	// internal/sim/validate.go.
+	workerURLs, peerURLs := splitList(*workersList), splitList(*cachePeers)
+	for _, u := range slices.Concat(workerURLs, peerURLs) {
+		if err := sim.ValidateBaseURL(u); err != nil {
+			fmt.Fprintln(os.Stderr, "arvid:", err)
+			os.Exit(2)
+		}
+	}
 
 	if *maxInsts <= 0 {
 		fmt.Fprintf(os.Stderr, "arvid: -max-insts %d out of range (need >= 1)\n", *maxInsts)
@@ -114,8 +127,8 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if peers := splitList(*cachePeers); len(peers) > 0 {
-			c.SetPeers(storage.NewPeerKV(peers, nil), *cachePush)
+		if len(peerURLs) > 0 {
+			c.SetPeers(storage.NewPeerKV(peerURLs, nil), *cachePush)
 		}
 		eng.Cache = c
 	}
@@ -137,7 +150,7 @@ func main() {
 		if *distTimeout > 0 {
 			coord.Client = &http.Client{Timeout: *distTimeout}
 		}
-		coord.SetWorkers(splitList(*workersList))
+		coord.SetWorkers(workerURLs)
 	}
 
 	h := server.New(server.Config{

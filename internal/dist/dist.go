@@ -19,6 +19,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/sim"
 	"repro/internal/smt"
+	"repro/internal/vpred"
 	"repro/internal/workload"
 )
 
@@ -55,7 +56,10 @@ type Coordinator struct {
 	// Local, when non-nil, computes jobs whose remote attempts are all
 	// spent — the cluster can lose every worker and a sweep still
 	// completes, just slower. Nil means remote-only (a fully failed job
-	// reports its joined worker errors).
+	// reports its joined worker errors). Its Cache, when set, is the
+	// coordinator's own: a job whose cells it holds is answered from it
+	// without a worker, and every checked worker answer is kept in it
+	// (its local tier only, never a peer; see job.run).
 	Local *sim.Engine
 	// Client issues worker requests; nil means a client with a 60-second
 	// timeout. Per-request contexts still apply, so a canceled sweep
@@ -357,18 +361,21 @@ func (c *Coordinator) withWorker(ctx context.Context, w *worker, remote func(ctx
 
 // job is one distributed cell job, the unit every sweep kind decomposes
 // into: its placement key, the worker request that computes it, the check
-// a worker's answer must pass, and how the local engine computes it once
-// every worker attempt is spent. A kind of cell needs only a job
-// constructor; placement, retries, answer checking and the local
-// fallback are run's.
+// a worker's answer must pass, how the local engine computes it once
+// every worker attempt is spent, and how its cells are read from and
+// written to the coordinator's own cache. A kind of cell needs only a
+// job constructor; the look-aside, placement, retries, answer checking,
+// the keep and the local fallback are run's.
 type job[A any] struct {
-	name  string                                              // names the job in errors
-	key   string                                              // placement key: the cell's cache key
-	err   error                                               // a job whose key could not be computed fails unplaced
-	path  string                                              // worker endpoint
-	req   any                                                 // worker request body
-	check func(A) error                                       // rejects an answer for any other cell
-	local func(ctx context.Context, e *sim.Engine) (A, error) // the fallback computation
+	name   string                                              // names the job in errors
+	key    string                                              // placement key: the cell's cache key
+	err    error                                               // a job whose key could not be computed fails unplaced
+	path   string                                              // worker endpoint
+	req    any                                                 // worker request body
+	check  func(A) error                                       // rejects an answer for any other cell
+	local  func(ctx context.Context, e *sim.Engine) (A, error) // the fallback computation
+	cached func(c *sim.Cache) (A, bool)                        // the answer, if c holds every one of the job's cells
+	keep   func(c *sim.Cache, a A) error                       // stores a checked answer's cells in c
 }
 
 // run drives the job through runJob's placement, retries and local
@@ -377,13 +384,25 @@ type job[A any] struct {
 // ablation knob, a build with other study defaults — is a protocol bug,
 // not data: its answer fails the job's check and counts as a failed
 // attempt, so a healthy worker (or the local engine) re-answers.
-func (j job[A]) run(ctx context.Context, c *Coordinator) (A, error) {
+//
+// cache (nil: none) is the local tier of the Local engine's result
+// cache. Before placing the job, run looks aside into it: a job whose
+// every cell it holds is answered there, with no request and no
+// counter moved. After a worker's answer passes the check, run keeps
+// its cells there, so the next identical job is answered locally. A job
+// only partly cached is placed whole.
+func (j job[A]) run(ctx context.Context, c *Coordinator, cache *sim.Cache) (A, error) {
 	var answer A
 	if err := ctx.Err(); err != nil {
 		return answer, fmt.Errorf("dist: %s: %w", j.name, err)
 	}
 	if j.err != nil {
 		return answer, fmt.Errorf("dist: %s: %w", j.name, j.err)
+	}
+	if cache != nil {
+		if a, ok := j.cached(cache); ok {
+			return a, nil
+		}
 	}
 	var local func(context.Context) error
 	if c.Local != nil {
@@ -396,6 +415,7 @@ func (j job[A]) run(ctx context.Context, c *Coordinator) (A, error) {
 			return nil
 		}
 	}
+	remote := false // the answer is a worker's, which cache does not hold yet
 	err := c.runJob(ctx, j.key, func(ctx context.Context, base string) error {
 		var a A
 		if err := c.postJSON(ctx, base, j.path, j.req, &a); err != nil {
@@ -404,13 +424,27 @@ func (j job[A]) run(ctx context.Context, c *Coordinator) (A, error) {
 		if err := j.check(a); err != nil {
 			return err
 		}
-		answer = a
+		answer, remote = a, true
 		return nil
 	}, local)
 	if err != nil {
 		return answer, fmt.Errorf("dist: %s: %w", j.name, err)
 	}
+	if remote && cache != nil {
+		// A failed keep parks the entries through the tier's breaker and
+		// is not the job's failure: the answer is checked and served.
+		_ = j.keep(cache, answer)
+	}
 	return answer, nil
+}
+
+// cache returns the local tier of the Local engine's result cache, the
+// one the jobs look aside into and keep answers in; nil without one.
+func (c *Coordinator) cache() *sim.Cache {
+	if c.Local == nil || c.Local.Cache == nil {
+		return nil
+	}
+	return c.Local.Cache.Local()
 }
 
 // runJobs runs the jobs on sim's bounded pool (at most inflightPerProc ×
@@ -421,8 +455,9 @@ func (j job[A]) run(ctx context.Context, c *Coordinator) (A, error) {
 func runJobs[A any](ctx context.Context, c *Coordinator, jobs []job[A], done func(i int, a A, err error)) ([]A, error) {
 	answers := make([]A, len(jobs))
 	errs := make([]error, len(jobs))
+	cache := c.cache()
 	sim.ForEach(ctx, inflightPerProc*runtime.GOMAXPROCS(0), len(jobs), func(i int) {
-		answers[i], errs[i] = jobs[i].run(ctx, c)
+		answers[i], errs[i] = jobs[i].run(ctx, c, cache)
 		if done != nil {
 			done(i, answers[i], errs[i])
 		}
@@ -500,6 +535,12 @@ func specJob(spec sim.Spec) job[sim.Result] {
 			}
 			return results[0], nil
 		},
+		cached: func(c *sim.Cache) (r sim.Result, ok bool) {
+			r.Spec = spec
+			r.Stats, ok = c.Get(spec)
+			return r, ok
+		},
+		keep: func(c *sim.Cache, r sim.Result) error { return c.Put(spec, r.Stats) },
 	}
 }
 
@@ -531,7 +572,8 @@ func (c *Coordinator) Matrix(ctx context.Context, benches []string, depths []int
 // asked-for model configuration and one cell of the mix per policy, in
 // sim.SMTPolicies order (sim.Engine.RunSMTGrid's run order).
 func smtJob(mix workload.Mix, cfg smt.Config) job[sim.SMTGrid] {
-	key, err := sim.StudyKey(sim.SMTStudy{Mix: mix, Policy: sim.SMTPolicies[0], Config: cfg})
+	studies := sim.SMTStudies([]workload.Mix{mix}, cfg)
+	key, err := sim.StudyKey(studies[0])
 	return job[sim.SMTGrid]{
 		name: "smt " + mix.Name,
 		key:  key,
@@ -555,6 +597,25 @@ func smtJob(mix workload.Mix, cfg smt.Config) job[sim.SMTGrid] {
 		local: func(ctx context.Context, e *sim.Engine) (sim.SMTGrid, error) {
 			g, err := e.RunSMTGrid(ctx, []workload.Mix{mix}, cfg)
 			return *g, err
+		},
+		cached: func(c *sim.Cache) (sim.SMTGrid, bool) {
+			g := sim.SMTGrid{Config: cfg}
+			for _, s := range studies {
+				var st sim.SMTStats
+				if ok, _ := c.GetStudy(s, &st); !ok {
+					return g, false
+				}
+				g.Cells = append(g.Cells, s.Record(st))
+			}
+			return g, true
+		},
+		keep: func(c *sim.Cache, g sim.SMTGrid) error {
+			errs := make([]error, len(studies))
+			for i, s := range studies {
+				st, _ := g.Lookup(s.Mix.Name, s.Policy) // check saw every policy's cell
+				errs[i] = c.PutStudy(s, st)
+			}
+			return errors.Join(errs...)
 		},
 	}
 }
@@ -584,7 +645,8 @@ func (c *Coordinator) RunSMTGrid(ctx context.Context, mixes []workload.Mix, cfg 
 // the asked-for parameters and both cells of the pair, all-instructions
 // first, then selective (sim.Engine.RunVPredGrid's run order).
 func vpredJob(bench, pred string, params sim.VPredParams) job[sim.VPredGrid] {
-	key, err := sim.StudyKey(sim.VPredStudy{Bench: bench, Predictor: pred, Selective: false, Params: params})
+	studies := sim.VPredStudies([]string{bench}, []string{pred}, params)
+	key, err := sim.StudyKey(studies[0])
 	return job[sim.VPredGrid]{
 		name: "vpred " + bench + "/" + pred,
 		key:  key,
@@ -612,6 +674,25 @@ func vpredJob(bench, pred string, params sim.VPredParams) job[sim.VPredGrid] {
 		local: func(ctx context.Context, e *sim.Engine) (sim.VPredGrid, error) {
 			g, err := e.RunVPredGrid(ctx, []string{bench}, []string{pred}, params)
 			return *g, err
+		},
+		cached: func(c *sim.Cache) (sim.VPredGrid, bool) {
+			g := sim.VPredGrid{Params: params}
+			for _, s := range studies {
+				var st vpred.Result
+				if ok, _ := c.GetStudy(s, &st); !ok {
+					return g, false
+				}
+				g.Cells = append(g.Cells, s.Record(st))
+			}
+			return g, true
+		},
+		keep: func(c *sim.Cache, g sim.VPredGrid) error {
+			errs := make([]error, len(studies))
+			for i, s := range studies {
+				st, _ := g.Lookup(s.Bench, s.Predictor, s.Selective) // check saw both cells
+				errs[i] = c.PutStudy(s, st)
+			}
+			return errors.Join(errs...)
 		},
 	}
 }

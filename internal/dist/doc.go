@@ -31,15 +31,37 @@
 //     sim.SMTGrid, sim.VPredGrid), which the handlers encode and the
 //     coordinator decodes, so the two ends cannot drift apart.
 //
-// Every kind of job runs through one code path (job.run): place, POST,
-// check the answer, retry, fall back to local. A kind contributes only a
-// job constructor — its key, request, answer check and local
-// computation. The answer check compares the whole cell identity (the
+// Every kind of job runs through one code path (job.run): look aside,
+// place, POST, check the answer, keep it, retry, fall back to local. A
+// kind contributes only a job constructor — its key, request, answer
+// check, local computation, and how its cells are read from and written
+// to a cache. The answer check compares the whole cell identity (the
 // full Spec; the SMT model config; the vpred parameters; each study
 // cell's mix or bench, policy or predictor and selection, in run order),
 // so a worker answering for any other cell — another budget, another
 // ablation knob, a build with other study defaults, a duplicated study
 // cell — is a failed attempt, not data.
+//
+// The coordinator's own result cache (the Local engine's) sits in front
+// of placement:
+//
+//   - Look-aside. Before placing a job, the coordinator reads each of its
+//     cells from the local tier of that cache (overlay and disk, through
+//     the cache's one decode gate). When every cell is there the job is
+//     answered on the spot: no placement, no request, no simulation, and
+//     no counter moves. A job only partly cached is placed whole. The
+//     peer tier is never asked: placement already reaches the worker
+//     whose cache owns the cell, so a peer read first would only add a
+//     404 hop to every cold cell.
+//   - Keep. A worker answer that passed the check is stored in the same
+//     local tier, under the keys and as the entry bytes a local run
+//     writes, and never pushed to peers. So the next identical sweep or
+//     artifact is answered by the coordinator alone, and a corrupt kept
+//     entry fails the decode gate, is removed, and its job goes to the
+//     worker again, whose answer is kept anew.
+//
+// A coordinator with no Local engine, or one without a cache, places
+// every job.
 //
 // Failure handling is bounded and local: a failed or timed-out job is
 // retried on the next worker in its preference order with exponential

@@ -15,13 +15,18 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cpu"
 	"repro/internal/dist"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 // clusterNode is one daemon (coordinator or worker) in the harness.
@@ -140,8 +145,9 @@ const fullMatrixBody = `{"max_insts":5000}`
 // TestClusterMatrixByteIdenticalColdWarm is the tentpole's headline
 // assertion: the full 96-cell matrix distributed over three workers is
 // byte-identical to the single-node rendering, cold and warm, each cell
-// is computed exactly once cluster-wide, and a warm repeat computes
-// nothing anywhere.
+// is computed exactly once cluster-wide, the coordinator keeps every
+// answer, and a warm repeat places no job and computes nothing
+// anywhere.
 func TestClusterMatrixByteIdenticalColdWarm(t *testing.T) {
 	want := singleNodeBaseline(t, "/v1/matrix", fullMatrixBody)
 	cl := newCluster(t, 3, nil)
@@ -169,9 +175,12 @@ func TestClusterMatrixByteIdenticalColdWarm(t *testing.T) {
 		t.Errorf("healthy cluster retried %d jobs, want 0", r)
 	}
 
-	// Warm: byte-identical again, and nothing re-simulates — rendezvous
-	// routes each cell back to the worker whose cache holds it.
-	cold := cl.totalSimulated()
+	// The coordinator kept every worker answer in its own cache.
+	assertKeptEntries(t, cl, 96)
+
+	// Warm: byte-identical again, and answered from the coordinator's own
+	// cache — no job placed, nothing re-simulated anywhere.
+	cold := cl.snapshot()
 	resp, warm := post(t, cl.coord.ts.URL+"/v1/matrix", fullMatrixBody)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm distributed matrix: status %d", resp.StatusCode)
@@ -179,22 +188,74 @@ func TestClusterMatrixByteIdenticalColdWarm(t *testing.T) {
 	if !bytes.Equal(warm, want) {
 		t.Fatal("warm distributed matrix not byte-identical to single-node")
 	}
-	if n := cl.totalSimulated(); n != cold {
-		t.Errorf("warm sweep re-simulated %d cells", n-cold)
+	cl.assertUnchanged(t, "warm sweep", cold)
+}
+
+// clusterCounts is a snapshot of the counters a warm repeat must not
+// move: jobs a worker answered, jobs the coordinator computed itself,
+// and simulations cluster-wide.
+type clusterCounts struct{ remote, local, simulated int64 }
+
+func (cl *cluster) snapshot() clusterCounts {
+	return clusterCounts{cl.co.RemoteJobs(), cl.co.LocalJobs(), cl.totalSimulated()}
+}
+
+// assertUnchanged fails unless the cluster's counters still read before.
+func (cl *cluster) assertUnchanged(t *testing.T, label string, before clusterCounts) {
+	t.Helper()
+	if now := cl.snapshot(); now != before {
+		t.Errorf("%s moved the counters: remote jobs %d -> %d, local jobs %d -> %d, simulated %d -> %d",
+			label, before.remote, now.remote, before.local, now.local, before.simulated, now.simulated)
+	}
+}
+
+// assertKeptEntries pins the coordinator's keep step: its cache holds
+// exactly want entries, and each is byte for byte (Cache.Raw) the entry
+// the worker that answered the cell wrote under the same key.
+func assertKeptEntries(t *testing.T, cl *cluster, want int) {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(cl.coord.eng.Cache.Dir(), "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != want {
+		t.Errorf("coordinator cache holds %d entries, want %d", len(files), want)
+	}
+	for _, f := range files {
+		key := strings.TrimSuffix(filepath.Base(f), ".json")
+		kept, _ := cl.coord.eng.Cache.Raw(key)
+		answered := false
+		for i, w := range cl.workers {
+			if b, ok := w.eng.Cache.Raw(key); ok {
+				answered = true
+				if !bytes.Equal(kept, b) {
+					t.Errorf("kept entry %.16s differs from worker %d's:\n kept %s\n want %s", key, i, kept, b)
+				}
+			}
+		}
+		if !answered {
+			t.Errorf("kept entry %.16s is on no worker", key)
+		}
 	}
 }
 
 // TestClusterStudiesByteIdentical pins byte-identity for both study
 // grids and a rendered artifact, cold and warm, against single-node
-// output, with every cell computed on the workers.
+// output, with every cell computed on the workers, kept by the
+// coordinator, and answered from its cache when warm.
 func TestClusterStudiesByteIdentical(t *testing.T) {
+	fig5b, _ := sim.LookupArtifact("fig5b")
 	cases := []struct {
 		name, path, body string
 		get              bool // a GET of path; body unused
+		cells            int  // cells the request runs
 	}{
-		{name: "smt", path: "/v1/study/smt", body: `{"max_cycles":3000}`},
-		{name: "vpred", path: "/v1/study/vpred", body: `{"max_insts":5000}`},
-		{name: "fig5b", path: "/v1/artifacts/fig5b?n=5000", get: true},
+		{name: "smt", path: "/v1/study/smt", body: `{"max_cycles":3000}`,
+			cells: len(workload.MixNames) * len(sim.SMTPolicies)},
+		{name: "vpred", path: "/v1/study/vpred", body: `{"max_insts":5000}`,
+			cells: len(workload.Names) * len(sim.VPredPredictors) * 2},
+		{name: "fig5b", path: "/v1/artifacts/fig5b?n=5000", get: true,
+			cells: len(sim.ArtifactSpecs([]sim.Artifact{fig5b}, 5000, 20))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -220,10 +281,13 @@ func TestClusterStudiesByteIdentical(t *testing.T) {
 			if n := cl.coord.eng.Simulated(); n != 0 {
 				t.Errorf("coordinator simulated %d cells itself with healthy workers, want 0", n)
 			}
+			assertKeptEntries(t, cl, tc.cells)
+			cold := cl.snapshot()
 			resp, warmB := do(cl.coord.ts.URL)
 			if resp.StatusCode != http.StatusOK || !bytes.Equal(warmB, want) {
 				t.Fatalf("warm distributed %s drifted (status %d)", tc.name, resp.StatusCode)
 			}
+			cl.assertUnchanged(t, "warm "+tc.name, cold)
 		})
 	}
 }
@@ -287,7 +351,98 @@ func TestClusterStreamMatchesBlocking(t *testing.T) {
 	t.Run("coordinator", func(t *testing.T) {
 		cl := newCluster(t, 2, nil)
 		run(t, cl.coord.ts.URL)
+		// The stream repeated the blocking sweep's 8 cells, so it was
+		// answered from the coordinator's own cache: every job and every
+		// simulation counted is the blocking sweep's.
+		cl.assertUnchanged(t, "warm stream", clusterCounts{remote: 8, simulated: 8})
 	})
+}
+
+// TestClusterKeptEntryHeals corrupts one entry the coordinator kept:
+// the decode gate rejects it, so that cell's job goes to its worker
+// again (answered from the worker's cache, nothing simulated), the entry
+// is rewritten with the worker's bytes, and the sweep stays
+// byte-identical. Every other cell is still answered locally.
+func TestClusterKeptEntryHeals(t *testing.T) {
+	want := singleNodeBaseline(t, "/v1/matrix", chaosMatrixBody)
+	cl := newCluster(t, 2, nil)
+	resp, got := post(t, cl.coord.ts.URL+"/v1/matrix", chaosMatrixBody)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("cold sweep drifted (status %d)", resp.StatusCode)
+	}
+	spec := sim.Spec{Bench: "li", Depth: 20, Mode: cpu.PredARVICurrent, MaxInsts: 5000}
+	key := sim.CacheKey(spec, spec.Config())
+	path := filepath.Join(cl.coord.eng.Cache.Dir(), key+".json")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("kept entry for %s: %v", spec, err)
+	}
+	if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := cl.snapshot()
+	resp, got = post(t, cl.coord.ts.URL+"/v1/matrix", chaosMatrixBody)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("sweep over a corrupted kept entry drifted (status %d)", resp.StatusCode)
+	}
+	before.remote++ // the corrupted cell, and only it, went to its worker
+	cl.assertUnchanged(t, "healing sweep", before)
+	assertKeptEntries(t, cl, chaosMatrixCells)
+}
+
+// countingTransport counts the GET and PUT /v1/cache requests it
+// carries.
+type countingTransport struct {
+	gets, puts atomic.Int64
+}
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if strings.HasPrefix(r.URL.Path, "/v1/cache/") {
+		switch r.Method {
+		case http.MethodGet:
+			c.gets.Add(1)
+		case http.MethodPut:
+			c.puts.Add(1)
+		}
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestClusterColdSweepAsksNoPeers gives the coordinator's cache the
+// workers as cache peers, as perfbench's cluster does, in push mode. The
+// look-aside reads the local tier only: placement already reaches the
+// worker whose cache owns a cell, so a cold sweep sends no peer GET
+// /v1/cache at all, and the keep writes locally, so it pushes nothing.
+// A /v1/run of a cell only a worker holds then does use the peer tier,
+// which shows the count is live.
+func TestClusterColdSweepAsksNoPeers(t *testing.T) {
+	cl := newCluster(t, 2, nil)
+	tr := &countingTransport{}
+	urls := []string{cl.workers[0].ts.URL, cl.workers[1].ts.URL}
+	cl.coord.eng.Cache.SetPeers(storage.NewPeerKV(urls, &http.Client{Transport: tr}), true)
+
+	want := singleNodeBaseline(t, "/v1/matrix", chaosMatrixBody)
+	resp, got := post(t, cl.coord.ts.URL+"/v1/matrix", chaosMatrixBody)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("cold sweep drifted (status %d)", resp.StatusCode)
+	}
+	if g, p := tr.gets.Load(), tr.puts.Load(); g != 0 || p != 0 {
+		t.Errorf("cold sweep sent %d peer GET and %d peer PUT /v1/cache requests, want 0 and 0", g, p)
+	}
+	assertKeptEntries(t, cl, chaosMatrixCells)
+
+	run := `{"bench":"vortex","depth":60,"mode":"baseline","max_insts":5000}`
+	if resp, b := post(t, urls[0]+"/v1/run", run); resp.StatusCode != http.StatusOK {
+		t.Fatalf("worker run: status %d: %s", resp.StatusCode, b)
+	}
+	if resp, b := post(t, cl.coord.ts.URL+"/v1/run", run); resp.StatusCode != http.StatusOK {
+		t.Fatalf("coordinator run: status %d: %s", resp.StatusCode, b)
+	}
+	if tr.gets.Load() == 0 || cl.coord.eng.Cache.PeerHits() != 1 || cl.coord.eng.Simulated() != 0 {
+		t.Errorf("run of a worker's cell: %d peer GETs, %d peer hits, %d simulated; want > 0, 1, 0",
+			tr.gets.Load(), cl.coord.eng.Cache.PeerHits(), cl.coord.eng.Simulated())
+	}
 }
 
 // TestClusterSharedCacheDir runs two workers over one cache directory
@@ -360,9 +515,18 @@ func TestClusterWorkerRegistration(t *testing.T) {
 			t.Fatalf("register attempt %d: %d %s", i, resp.StatusCode, b)
 		}
 	}
-	resp, b = post(t, cl.coord.ts.URL+"/v1/workers", `{"url":"not a url"}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("junk worker url accepted: %d %s", resp.StatusCode, b)
+	// A base URL requests cannot be built on is refused with the rule's
+	// message (the -workers-list and -cache-peers flags print it too),
+	// and never joins: a query or fragment would swallow /v1/run.
+	for _, bad := range []string{"not a url", "localhost:8751", "ftp://h:1", "http://h:1/?x=1", "http://h:1#frag", "http:///v1"} {
+		resp, b = post(t, cl.coord.ts.URL+"/v1/workers", fmt.Sprintf(`{"url":%q}`, bad))
+		var eb dist.ErrorBody
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(b, &eb) != nil || eb.Error != sim.ValidateBaseURL(bad).Error() {
+			t.Fatalf("worker url %q: %d %s, want 400 %q", bad, resp.StatusCode, b, sim.ValidateBaseURL(bad))
+		}
+	}
+	if n := len(cl.co.Workers()); n != 2 {
+		t.Fatalf("%d workers registered after the refused urls, want 2", n)
 	}
 
 	// The joined worker actually receives jobs.

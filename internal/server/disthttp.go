@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"sync"
 
 	"repro/internal/cpu"
@@ -180,10 +179,7 @@ func (s *Server) handleWorkersPost(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	u, err := url.Parse(req.URL)
-	if err != nil || u.Scheme == "" || u.Host == "" {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("worker url must be absolute (http://host:port), got %q", req.URL))
+	if reject(w, sim.ValidateBaseURL(req.URL)) {
 		return
 	}
 	c.AddWorker(req.URL)

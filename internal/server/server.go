@@ -42,7 +42,8 @@
 //   - Bounds: Config.MaxInflight caps concurrent computations (excess
 //     requests get 429 immediately), Config.MaxTotalInsts caps the
 //     total instruction budget a single request may demand (400), and a
-//     JSON request body is read to at most 1 MiB (413).
+//     JSON request body is read to at most 1 MiB (413) and must be
+//     exactly one JSON value (400).
 //
 // Validation reuses internal/sim's shared rules, so a bad value is
 // rejected with exactly the message the CLIs print for the same mistake.
@@ -55,6 +56,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"runtime"
@@ -104,10 +106,13 @@ type Config struct {
 	// /v1/study/*, /v1/artifacts/{name}), decomposing it into per-cell
 	// jobs fanned out to its registered workers (falling back to its
 	// Local engine for cells no worker could answer), and /v1/workers
-	// accepts registrations. /v1/run stays on Engine: a single cell is
-	// the worker job itself, so fanning it out would only add a hop, and
-	// a warm one is answered from this daemon's own cache, which
-	// -cache-peers can fill from the workers'. See internal/dist.
+	// accepts registrations. A job whose cells the Local engine's cache
+	// already holds is answered from it without a worker, and every
+	// worker answer is kept in that cache, so a repeated sweep costs no
+	// hop. /v1/run stays on Engine: a single cell is the worker job
+	// itself, so fanning it out would only add a hop, and a warm one is
+	// answered from this daemon's own cache, which -cache-peers can fill
+	// from the workers'. See internal/dist.
 	Coordinator *dist.Coordinator
 }
 
@@ -320,13 +325,23 @@ const maxBodyBytes = 1 << 20
 
 // decodeBody strictly decodes a JSON request body of at most
 // maxBodyBytes (unknown fields are errors: a typoed knob must not
-// silently fall back to a default). On failure it writes the 400, or the
+// silently fall back to a default). The body is exactly one JSON value:
+// anything but whitespace after it — a second request, junk — is an
+// error, not a remainder to ignore. On failure it writes the 400, or the
 // 413 for an oversized body, and reports false.
 func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(into)
 	var tooBig *http.MaxBytesError
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("data after the JSON value")
+			if errors.As(tail, &tooBig) {
+				err = tail
+			}
+		}
+	}
 	switch {
 	case err == nil:
 		return true

@@ -322,8 +322,47 @@ func TestValidationErrorsMatchCLI(t *testing.T) {
 			wantMsg:    `bad request body: json: unknown field "benchh"`,
 		},
 		{
+			// The body is one JSON value: a second request after it is not
+			// ignored, and neither is junk.
+			name: "run followed by a second request", path: "/v1/run",
+			body:       `{"bench":"li","depth":20,"mode":"baseline","max_insts":2000} {"bench":"nope"}`,
+			wantStatus: http.StatusBadRequest,
+			wantMsg:    "bad request body: data after the JSON value",
+		},
+		{
+			name: "run followed by junk", path: "/v1/run",
+			body:       `{"bench":"li","depth":20,"mode":"baseline","max_insts":2000} trailing-garbage`,
+			wantStatus: http.StatusBadRequest,
+			wantMsg:    "bad request body: data after the JSON value",
+		},
+		{
+			name: "matrix followed by a second request", path: "/v1/matrix",
+			body:       `{"benches":["li"],"depths":[20],"max_insts":2000} {"benches":["nope"]}`,
+			wantStatus: http.StatusBadRequest,
+			wantMsg:    "bad request body: data after the JSON value",
+		},
+		{
+			name: "matrix followed by junk", path: "/v1/matrix",
+			body:       `{"benches":["li"],"depths":[20],"max_insts":2000} trailing-garbage`,
+			wantStatus: http.StatusBadRequest,
+			wantMsg:    "bad request body: data after the JSON value",
+		},
+		{
+			// Trailing whitespace is not data.
+			name: "run followed by whitespace", path: "/v1/run",
+			body:       "{\"bench\":\"nope\"} \n\t ",
+			wantStatus: http.StatusBadRequest,
+			wantMsg:    sim.ValidateBench("nope").Error(),
+		},
+		{
 			name: "body padded past the cap", path: "/v1/run",
 			body:       strings.Repeat(" ", maxBodyBytes) + `{"bench":"li","depth":20,"mode":"arvi-current"}`,
+			wantStatus: http.StatusRequestEntityTooLarge,
+			wantMsg:    "request body exceeds 1048576 bytes",
+		},
+		{
+			name: "body padded past the cap after the value", path: "/v1/run",
+			body:       `{"bench":"li","depth":20,"mode":"arvi-current"}` + strings.Repeat(" ", maxBodyBytes),
 			wantStatus: http.StatusRequestEntityTooLarge,
 			wantMsg:    "request body exceeds 1048576 bytes",
 		},

@@ -38,7 +38,15 @@ const cacheVersion = 1
 // response can never be served or replicated.
 type Cache struct {
 	*storage.Tier
+	local bool // a Local view: no peer reads, no pushes
 }
+
+// Local returns a view of the cache confined to its local tier: reads
+// see the overlay and the disk, never a peer, and writes are never
+// pushed to the peers. Keys, the decode gate and the entry bytes are the
+// cache's own. A dist coordinator answers a job from its cache through
+// it, and keeps its workers' answers there (see internal/dist).
+func (c *Cache) Local() *Cache { return &Cache{Tier: c.Tier, local: true} }
 
 // OpenCache opens (creating if needed) a cache rooted at dir on the real
 // filesystem with default circuit-breaker settings.
@@ -54,7 +62,7 @@ func OpenCacheFS(dir string, fsys storage.FS, brk *storage.Breaker) (*Cache, err
 	if err != nil {
 		return nil, fmt.Errorf("sim: open cache: %w", err)
 	}
-	return &Cache{t}, nil
+	return &Cache{Tier: t}, nil
 }
 
 // Key returns the cache key for a spec: a hex SHA-256 over the spec's
@@ -162,22 +170,30 @@ func decodeEntry(key, kind string, b []byte, out any) bool {
 }
 
 // get decodes the entry for key into out, reporting whether an intact
-// entry of the kind was present — locally or, failing that, at a cache
-// peer (the tier stores an accepted peer entry locally).
+// entry of the kind was present — locally or, failing that and outside
+// a Local view, at a cache peer (the tier stores an accepted peer entry
+// locally).
 func (c *Cache) get(key, kind string, out any) bool {
-	return c.Tier.Get(key, func(b []byte) bool { return decodeEntry(key, kind, b, out) })
+	accept := func(b []byte) bool { return decodeEntry(key, kind, b, out) }
+	if c.local {
+		return c.Tier.GetLocal(key, accept)
+	}
+	return c.Tier.Get(key, accept)
 }
 
 // put stores one cell's entry through the tier: atomically on disk, or
 // parked in the overlay while the disk is refusing writes (degraded mode
-// trades durability for availability), and replicated to the peers in
-// push mode.
+// trades durability for availability), and, outside a Local view,
+// replicated to the peers in push mode.
 func (c *Cache) put(key, kind string, identity, stats any) error {
 	b, err := json.MarshalIndent(entry{
 		Version: cacheVersion, Key: key, Sum: statsSum(stats), Kind: kind, Identity: identity, Stats: stats,
 	}, "", " ")
 	if err != nil {
 		return fmt.Errorf("sim: cache put %s: %w", kind, err)
+	}
+	if c.local {
+		return c.Tier.PutLocal(key, b)
 	}
 	return c.Tier.Put(key, b)
 }

@@ -60,7 +60,11 @@
 //     via cmd/arvid). Both are key derivation plus a codec over one
 //     storage.Tier, which owns the disk-fault protocol (circuit breaker,
 //     degraded-mode overlay and flush), self-healing and the cache peers.
+//     Cache.Local is the cache without its peers, through which the dist
+//     coordinator answers jobs it already holds and keeps worker
+//     answers; a study's Record builds its grid cell for both the engine
+//     and the coordinator.
 //   - ParseMode / ValidateSpec and friends (validate.go) — the shared
 //     user-input rules, so every front end rejects a bad value with the
-//     same message.
+//     same message (ValidateBaseURL covers worker and peer URLs).
 package sim

@@ -175,14 +175,20 @@ func (e *Engine) RunSMTGrid(ctx context.Context, mixes []workload.Mix, cfg smt.C
 	res, err := RunStudies[SMTStudy, SMTStats](ctx, e, SMTStudies(mixes, cfg))
 	g := &SMTGrid{Config: cfg, Cells: make([]SMTRecord, 0, len(res)), Mixes: mixes}
 	for _, r := range res {
-		s, st := r.Study, r.Stats
-		g.Cells = append(g.Cells, SMTRecord{
-			Mix: s.Mix.Name, Benches: s.Mix.Benches, Policy: s.Policy.String(),
-			IPC: st.Throughput(), Cycles: st.Cycles, TotalInsts: st.TotalInsts,
-			PerThread: st.PerThread, PeakWindow: st.PeakWindow,
-		})
+		g.Cells = append(g.Cells, r.Study.Record(r.Stats))
 	}
 	return g, err
+}
+
+// Record builds the grid cell of the study's stats. RunSMTGrid builds
+// its cells with it, and so does a dist coordinator answering a mix from
+// its own cache, so both grids carry the same bytes.
+func (s SMTStudy) Record(st SMTStats) SMTRecord {
+	return SMTRecord{
+		Mix: s.Mix.Name, Benches: s.Mix.Benches, Policy: s.Policy.String(),
+		IPC: st.Throughput(), Cycles: st.Cycles, TotalInsts: st.TotalInsts,
+		PerThread: st.PerThread, PeakWindow: st.PeakWindow,
+	}
 }
 
 // SMTThroughputTable renders the study's headline: combined IPC per mix

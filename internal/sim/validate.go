@@ -2,18 +2,21 @@ package sim
 
 import (
 	"fmt"
+	"net/url"
+	"strings"
 
 	"repro/internal/cpu"
 	"repro/internal/workload"
 )
 
 // This file is the single home of the user-input validation rules shared
-// by every front end — cmd/arvisim, cmd/experiments and the HTTP service
-// (internal/server). The front ends differ in how a bad value arrives (a
-// flag, a JSON field) and in how the rejection is delivered (exit status
-// 2, a 4xx response), but the rule and the message text must not drift
-// between them: internal/server's tests pin that an HTTP rejection carries
-// exactly the message the CLI prints for the same bad value.
+// by every front end — cmd/arvisim, cmd/experiments, cmd/arvid's flags
+// and the HTTP service (internal/server). The front ends differ in how a
+// bad value arrives (a flag, a JSON field) and in how the rejection is
+// delivered (exit status 2, a 4xx response), but the rule and the
+// message text must not drift between them: internal/server's tests pin
+// that an HTTP rejection carries exactly the message the CLI prints for
+// the same bad value.
 
 // ModeNames lists the accepted predictor-mode names in presentation
 // order: the CLI aliases first. ParseMode additionally accepts each
@@ -145,4 +148,16 @@ func ValidatePredictor(name string) error {
 		}
 	}
 	return fmt.Errorf("unknown value predictor %q", name)
+}
+
+// ValidateBaseURL rejects a worker or cache-peer base URL that endpoint
+// paths cannot be appended to: it must be an absolute http or https URL
+// with a host, and carry no query or fragment, which would swallow the
+// path (http://h:1/?x=1 plus /v1/run asks http://h:1/ with a query).
+func ValidateBaseURL(s string) error {
+	u, err := url.Parse(s)
+	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" || strings.ContainsAny(s, "?#") {
+		return fmt.Errorf("base url %q must be an absolute http or https URL with a host and no query or fragment", s)
+	}
+	return nil
 }

@@ -206,14 +206,20 @@ func (e *Engine) RunVPredGrid(ctx context.Context, benches []string, predictors 
 	res, err := RunStudies[VPredStudy, vpred.Result](ctx, e, VPredStudies(benches, predictors, params))
 	g := &VPredGrid{Params: params, Cells: make([]VPredRecord, 0, len(res)), Benches: benches, Predictors: predictors}
 	for _, r := range res {
-		s, st := r.Study, r.Stats
-		g.Cells = append(g.Cells, VPredRecord{
-			Bench: s.Bench, Predictor: s.Predictor, Selective: s.Selective,
-			Insts: st.Insts, Candidates: st.Candidates, Predictions: st.Predictions, Correct: st.Correct,
-			Coverage: st.Coverage(), Accuracy: st.Accuracy(),
-		})
+		g.Cells = append(g.Cells, r.Study.Record(r.Stats))
 	}
 	return g, err
+}
+
+// Record builds the grid cell of the study's stats. RunVPredGrid builds
+// its cells with it, and so does a dist coordinator answering a pair
+// from its own cache, so both grids carry the same bytes.
+func (s VPredStudy) Record(st vpred.Result) VPredRecord {
+	return VPredRecord{
+		Bench: s.Bench, Predictor: s.Predictor, Selective: s.Selective,
+		Insts: st.Insts, Candidates: st.Candidates, Predictions: st.Predictions, Correct: st.Correct,
+		Coverage: st.Coverage(), Accuracy: st.Accuracy(),
+	}
 }
 
 // vpredTable renders one metric across the grid's predictor × selection

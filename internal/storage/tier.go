@@ -35,12 +35,13 @@ import (
 //     left memory-only. Keys are content addresses, so a parked entry is
 //     exactly the bytes the disk would have held: degraded mode changes
 //     durability, never results. The overlay is unbounded.
-//   - Healing. Get hands the bytes to the caller's decoder; bytes it
-//     rejects are removed from the overlay and from disk, so the next Put
-//     rewrites the entry.
+//   - Healing. Get and GetLocal hand the bytes to the caller's decoder;
+//     bytes it rejects are removed from the overlay and from disk, so the
+//     next Put rewrites the entry.
 //   - Peers. On a local miss Get asks the peer tier (SetPeers), gates its
 //     bytes through the same decoder and stores accepted bytes locally.
 //     In push mode Put also replicates to the peers, best-effort.
+//     GetLocal and PutLocal never touch the peers.
 //
 // All methods are safe for concurrent use.
 type Tier struct {
@@ -157,16 +158,13 @@ func (t *Tier) Raw(key string) ([]byte, bool) {
 }
 
 // Get hands a key's bytes to accept, the caller's decoder, and reports
-// whether it accepted them: the local bytes (Raw) first, then the peer
-// tier's. Rejected local bytes are removed, so the entry heals; accepted
-// peer bytes are stored locally (PutLocal), so the next hit is local.
-// accept may therefore run twice: on the local bytes, then the peer's.
+// whether it accepted them: the local bytes first (GetLocal), then the
+// peer tier's. Accepted peer bytes are stored locally (PutLocal), so the
+// next hit is local. accept may therefore run twice: on the local bytes,
+// then the peer's.
 func (t *Tier) Get(key string, accept func([]byte) bool) bool {
-	if b, ok := t.Raw(key); ok {
-		if accept(b) {
-			return true
-		}
-		t.discard(key)
+	if t.GetLocal(key, accept) {
+		return true
 	}
 	peers, _ := t.peerSet()
 	if peers == nil {
@@ -181,6 +179,21 @@ func (t *Tier) Get(key string, accept func([]byte) bool) bool {
 	_ = t.PutLocal(key, b)
 	t.peerHits.Add(1)
 	return true
+}
+
+// GetLocal is Get without the peer tier: it hands the key's local bytes
+// (Raw: the overlay, then the disk) to accept and reports whether it
+// accepted them. Rejected bytes are removed, so the entry heals.
+func (t *Tier) GetLocal(key string, accept func([]byte) bool) bool {
+	b, ok := t.Raw(key)
+	if !ok {
+		return false
+	}
+	if accept(b) {
+		return true
+	}
+	t.discard(key)
+	return false
 }
 
 // discard drops rejected bytes from the overlay and, while the disk is

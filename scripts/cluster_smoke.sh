@@ -53,14 +53,27 @@ done
 # A 16-cell grid: 2 benches x 2 depths x the full mode set.
 body='{"benches":["li","gcc"],"depths":[20,40],"max_insts":20000}'
 
+remote_jobs() { # remote_jobs: the coordinator's remote_jobs counter
+    curl -sf http://127.0.0.1:8753/healthz | sed -n 's/.*"remote_jobs": \([0-9]*\).*/\1/p'
+}
+
 curl -sf -d "$body" http://127.0.0.1:8750/v1/matrix > "$tmp/single.json"
 curl -sf -d "$body" http://127.0.0.1:8753/v1/matrix > "$tmp/dist.json"
 cmp "$tmp/single.json" "$tmp/dist.json"
 echo "cluster_smoke: distributed matrix byte-identical to single-node"
+cold_remote=$(remote_jobs)
 
-# Warm repeat: still byte-identical, now served from the workers' caches.
+# Warm repeat: still byte-identical, now answered from the coordinator's
+# own cache, which kept every worker answer of the cold sweep: no job
+# goes to a worker.
 curl -sf -d "$body" http://127.0.0.1:8753/v1/matrix > "$tmp/dist-warm.json"
 cmp "$tmp/single.json" "$tmp/dist-warm.json"
+warm_remote=$(remote_jobs)
+if [ -z "$cold_remote" ] || [ "$warm_remote" != "$cold_remote" ]; then
+    echo "cluster_smoke: warm repeat placed jobs: remote_jobs $cold_remote after the cold sweep, $warm_remote after the warm one" >&2
+    exit 1
+fi
+echo "cluster_smoke: warm repeat answered from the coordinator's cache ($warm_remote remote jobs, unchanged)"
 
 # The coordinator really fanned out (its health reports remote jobs) and
 # never had to fall back to computing locally.
