@@ -6,23 +6,35 @@ import (
 	"repro/internal/workload"
 )
 
+// TestEvaluateBEXOnWorkloads pins EvaluateBEX's results on two workloads,
+// so a change to the window wtrace.Walk maintains cannot pass on
+// plausibility alone. The budget-4 rows sit below MaxSlice, which pins
+// the uncovered branches too.
 func TestEvaluateBEXOnWorkloads(t *testing.T) {
-	for _, name := range []string{"m88ksim", "vortex"} {
-		res, err := EvaluateBEX(workload.ByName(name).Prog, 60_000, 64, 12)
+	for _, tc := range []struct {
+		bench string
+		want  BEXResult
+	}{
+		{"m88ksim", BEXResult{Branches: 5190, Covered: 5190, SliceSum: 26632, MaxSlice: 8, WindowSize: 64, Budget: 12}},
+		{"vortex", BEXResult{Branches: 16558, Covered: 16558, SliceSum: 116437, MaxSlice: 9, WindowSize: 64, Budget: 12}},
+		{"m88ksim", BEXResult{Branches: 5190, Covered: 862, SliceSum: 26632, MaxSlice: 8, WindowSize: 64, Budget: 4}},
+		{"vortex", BEXResult{Branches: 16558, Covered: 139, SliceSum: 116437, MaxSlice: 9, WindowSize: 64, Budget: 4}},
+	} {
+		res, err := EvaluateBEX(workload.ByName(tc.bench).Prog, 60_000, 64, tc.want.Budget)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", tc.bench, err)
 		}
-		if res.Branches == 0 {
-			t.Fatalf("%s: no branches", name)
+		if res != tc.want {
+			t.Errorf("%s budget %d: got %+v, want %+v", tc.bench, tc.want.Budget, res, tc.want)
 		}
 		if res.Coverage() <= 0 || res.Coverage() > 1 {
-			t.Errorf("%s: coverage %v out of range", name, res.Coverage())
+			t.Errorf("%s: coverage %v out of range", tc.bench, res.Coverage())
 		}
 		if res.AvgSlice() <= 0 || res.MaxSlice <= 0 {
-			t.Errorf("%s: degenerate slices %+v", name, res)
+			t.Errorf("%s: degenerate slices %+v", tc.bench, res)
 		}
 		if res.MaxSlice > res.WindowSize {
-			t.Errorf("%s: slice exceeds window: %d > %d", name, res.MaxSlice, res.WindowSize)
+			t.Errorf("%s: slice exceeds window: %d > %d", tc.bench, res.MaxSlice, res.WindowSize)
 		}
 	}
 }

@@ -41,6 +41,11 @@ func TestStreamDecodeRejects(t *testing.T) {
 		{"both fields", `{"result":{},"done":{"max_insts":1,"cells":0}}` + "\n", "exactly one"},
 		{"data after trailer", `{"done":{"max_insts":1,"cells":0}}` + "\n" + `{"result":{}}` + "\n", "data after trailer"},
 		{"two objects one line", `{"result":{}} {"result":{}}` + "\n", "trailing data"},
+		// A stray closing delimiter is trailing data too (json.Decoder's
+		// More reports false in front of one).
+		{"stray brace after trailer", `{"done":{"max_insts":1,"cells":0}}}` + "\n", "trailing data"},
+		{"stray brace and bracket after trailer", `{"done":{"max_insts":1,"cells":0}}}]` + "\n", "trailing data"},
+		{"stray brace after cell", `{"result":{"Spec":{"Bench":"li"}}}}` + "\n" + `{"done":{"max_insts":1,"cells":1}}` + "\n", "trailing data"},
 		{"oversized line", `{"result":{"Spec":{"Bench":"` + strings.Repeat("a", MaxStreamLine) + `"}}}` + "\n", "stream read"},
 	}
 	for _, tc := range cases {

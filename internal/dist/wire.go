@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -48,6 +49,33 @@ type VPredRequest struct {
 	Predictors   []string `json:"predictors"`
 	MaxInsts     int64    `json:"max_insts"`
 	DepThreshold int      `json:"dep_threshold"`
+}
+
+// errTrailingData reports data after the one JSON value a request body or
+// a stream line must hold.
+var errTrailingData = errors.New("data after the JSON value")
+
+// DecodeStrict decodes exactly one JSON value from r into v, the rule for
+// every request body and stream line: unknown fields are errors (a typoed
+// knob must not silently fall back to a default), and so is anything but
+// whitespace after the value ("data after the JSON value"). If reading
+// past the value fails (a size cap, say), that read error is returned.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	// Token, unlike More, also reports a stray closing delimiter.
+	_, err := dec.Token()
+	var syntax *json.SyntaxError
+	switch {
+	case err == io.EOF:
+		return nil
+	case err == nil, errors.As(err, &syntax), errors.Is(err, io.ErrUnexpectedEOF):
+		return errTrailingData
+	}
+	return err
 }
 
 // The streaming matrix format (/v1/matrix?stream=1) is chunked JSON
@@ -142,13 +170,11 @@ func DecodeMatrixStream(r io.Reader) ([]sim.Result, *StreamTrailer, error) {
 // data, and anything but exactly one of result/done are errors.
 func decodeStreamLine(raw []byte) (StreamLine, error) {
 	var l StreamLine
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&l); err != nil {
+	switch err := DecodeStrict(bytes.NewReader(raw), &l); {
+	case errors.Is(err, errTrailingData):
+		return StreamLine{}, errors.New("trailing data after line object")
+	case err != nil:
 		return StreamLine{}, fmt.Errorf("bad line: %v", err)
-	}
-	if dec.More() {
-		return StreamLine{}, fmt.Errorf("trailing data after line object")
 	}
 	if (l.Result == nil) == (l.Done == nil) {
 		return StreamLine{}, fmt.Errorf("line must carry exactly one of result, done")

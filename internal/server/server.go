@@ -36,9 +36,9 @@
 //     is rendered through deterministic encoders, so warm cache hits are
 //     byte-identical across requests — a client may diff responses.
 //   - Coalescing: duplicate in-flight requests collapse onto one
-//     computation (singleflight keyed by the same Spec/Config and Study
-//     content fingerprints the result cache uses), so a thundering herd
-//     of identical queries costs one simulation.
+//     computation (singleflight keyed by the request after defaults and
+//     parsing, or for /v1/run by the cell's cache key), so a thundering
+//     herd of identical queries costs one simulation.
 //   - Bounds: Config.MaxInflight caps concurrent computations (excess
 //     requests get 429 immediately), Config.MaxTotalInsts caps the
 //     total instruction budget a single request may demand (400), and a
@@ -56,7 +56,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"runtime"
@@ -323,25 +322,14 @@ func (s *Server) coalesce(w http.ResponseWriter, key string, compute func() *res
 // (a matrix naming every benchmark, depth and mode) is under a kilobyte.
 const maxBodyBytes = 1 << 20
 
-// decodeBody strictly decodes a JSON request body of at most
-// maxBodyBytes (unknown fields are errors: a typoed knob must not
-// silently fall back to a default). The body is exactly one JSON value:
-// anything but whitespace after it — a second request, junk — is an
-// error, not a remainder to ignore. On failure it writes the 400, or the
-// 413 for an oversized body, and reports false.
+// decodeBody decodes a JSON request body of at most maxBodyBytes with
+// dist.DecodeStrict: exactly one JSON value and no unknown fields; a
+// second request or junk after the value is an error, not a remainder to
+// ignore. On failure it writes the 400, or the 413 for an oversized body,
+// and reports false.
 func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(into)
+	err := dist.DecodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), into)
 	var tooBig *http.MaxBytesError
-	if err == nil {
-		if _, tail := dec.Token(); tail != io.EOF {
-			err = errors.New("data after the JSON value")
-			if errors.As(tail, &tooBig) {
-				err = tail
-			}
-		}
-	}
 	switch {
 	case err == nil:
 		return true
@@ -390,9 +378,11 @@ func (s *Server) checkBudget(perCell int64, cells int) error {
 }
 
 // hashParts reduces an ordered list of identity strings to one flight
-// key. The parts are the same content identities the result cache uses
-// (Spec/Config cache keys, study keys), so two requests coalesce exactly
-// when they would hit the same cache entries in the same order.
+// key. A sweep passes its request after defaults and parsing (axes in
+// request order, modes as report names, the budget, the study's config):
+// its cells and their order are a pure function of that, so two requests
+// coalesce exactly when they ask for the same cells in the same order.
+// /v1/run passes its one cell's cache key.
 //
 //arvi:det
 func hashParts(kind string, parts ...string) string {
@@ -402,20 +392,6 @@ func hashParts(kind string, parts ...string) string {
 		h.Write([]byte{0})
 	}
 	return fmt.Sprintf("%s|%x", kind, h.Sum(nil))
-}
-
-// studyFlight keys a study request's flight by the ordered study keys of
-// its cells, as enumerated by sim's study enumerators.
-func studyFlight[S sim.Study](kind string, studies []S) (string, error) {
-	parts := make([]string, len(studies))
-	for i, st := range studies {
-		key, err := sim.StudyKey(st)
-		if err != nil {
-			return "", err
-		}
-		parts[i] = key
-	}
-	return hashParts(kind, parts...), nil
 }
 
 // --- /healthz and /v1/bench ----------------------------------------------
@@ -612,21 +588,16 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		s.checkBudget(req.MaxInsts, cells)) {
 		return
 	}
-	// The flight key is the ordered list of the cells' cache keys — the
-	// same content identities the result cache uses.
-	specs := sim.MatrixSpecs(req.Benches, req.Depths, modes, req.MaxInsts)
-	parts := make([]string, len(specs))
-	for i, spec := range specs {
-		parts[i] = sim.CacheKey(spec, spec.Config())
-	}
 	depths := req.Depths
+	// Keyed by the parsed request, so both spellings of a mode share a flight.
+	request := fmt.Sprintf("%q %v %q %d", req.Benches, depths, modes, req.MaxInsts)
 	if r.URL.Query().Get("stream") == "1" {
-		s.streamMatrix(w, r, hashParts("stream", parts...), req.Benches, depths, modes, req.MaxInsts)
+		s.streamMatrix(w, r, hashParts("stream", request), req.Benches, depths, modes, req.MaxInsts)
 		return
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	s.coalesce(w, hashParts("matrix", parts...), func() *response {
+	s.coalesce(w, hashParts("matrix", request), func() *response {
 		mx, err := sim.RunMatrix(ctx, s.runner, req.Benches, depths, modes, req.MaxInsts)
 		body := mx.Export(depths)
 		body.Error = errString(err, "")
@@ -659,11 +630,7 @@ func (s *Server) handleSMT(w http.ResponseWriter, r *http.Request) {
 	for i, name := range req.Mixes {
 		mixes[i] = workload.MixByName(name)
 	}
-	key, err := studyFlight("smt", sim.SMTStudies(mixes, cfg))
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
+	key := hashParts("smt", fmt.Sprintf("%q %+v", req.Mixes, cfg))
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	s.coalesce(w, key, func() *response {
@@ -699,11 +666,7 @@ func (s *Server) handleVPred(w http.ResponseWriter, r *http.Request) {
 		s.checkBudget(req.MaxInsts, cells)) {
 		return
 	}
-	key, err := studyFlight("vpred", sim.VPredStudies(req.Benches, req.Predictors, params))
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
+	key := hashParts("vpred", fmt.Sprintf("%q %q %+v", req.Benches, req.Predictors, params))
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	s.coalesce(w, key, func() *response {

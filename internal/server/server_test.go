@@ -164,68 +164,85 @@ func TestCLIExportMatchesHTTPBody(t *testing.T) {
 }
 
 // TestConcurrentIdenticalRequestsCoalesce pins the singleflight contract:
-// N concurrent identical /v1/run requests cost one computation and one
-// simulation, and every response is byte-identical.
+// concurrent requests for the same response cost one computation and one
+// simulation per cell, and every response is byte-identical. Requests
+// are the same when they agree after defaults and parsing, so two
+// spellings of one matrix (the mode's CLI alias vs its report name, the
+// budget omitted vs the default written out) share a flight.
 func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
-	const dupes = 4
-	s, ts, eng := newTestServer(t, nil)
-	// Hold the flight leader until the other dupes-1 requests have joined
-	// its flight, so the coalescing we want to pin deterministically forms.
-	s.testGate = func(key string) {
-		deadline := time.Now().Add(10 * time.Second)
-		for s.flights.waiters(key) < dupes-1 {
-			if time.Now().After(deadline) {
-				t.Error("gate: duplicates never joined the flight")
-				return
+	run := `{"bench":"gcc","depth":20,"mode":"arvi-current","max_insts":5000}`
+	for _, tc := range []struct {
+		name, path string
+		bodies     []string
+	}{
+		{"run", "/v1/run", []string{run, run, run, run}},
+		{"matrix spellings", "/v1/matrix", []string{
+			`{"benches":["li"],"depths":[20],"modes":["baseline"]}`,
+			fmt.Sprintf(`{"benches":["li"],"depths":[20],"modes":["2lvl-2bc-gskew"],"max_insts":%d}`, testInsts),
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dupes := len(tc.bodies)
+			s, ts, eng := newTestServer(t, nil)
+			// Hold the flight leader until the other dupes-1 requests have
+			// joined its flight, so the coalescing we want to pin
+			// deterministically forms.
+			s.testGate = func(key string) {
+				deadline := time.Now().Add(10 * time.Second)
+				for s.flights.waiters(key) < dupes-1 {
+					if time.Now().After(deadline) {
+						t.Error("gate: duplicates never joined the flight")
+						return
+					}
+					time.Sleep(time.Millisecond)
+				}
 			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	body := `{"bench":"gcc","depth":20,"mode":"arvi-current","max_insts":5000}`
-	var wg sync.WaitGroup
-	bodies := make([][]byte, dupes)
-	statuses := make([]int, dupes)
-	coalesced := make([]bool, dupes)
-	for i := 0; i < dupes; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Error(err)
-				return
+			var wg sync.WaitGroup
+			bodies := make([][]byte, dupes)
+			statuses := make([]int, dupes)
+			coalesced := make([]bool, dupes)
+			for i, body := range tc.bodies {
+				wg.Add(1)
+				go func(i int, body string) {
+					defer wg.Done()
+					resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer resp.Body.Close()
+					b, err := io.ReadAll(resp.Body)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					bodies[i], statuses[i] = b, resp.StatusCode
+					coalesced[i] = resp.Header.Get("X-Coalesced") == "1"
+				}(i, body)
 			}
-			defer resp.Body.Close()
-			b, err := io.ReadAll(resp.Body)
-			if err != nil {
-				t.Error(err)
-				return
+			wg.Wait()
+			nCoalesced := 0
+			for i := 0; i < dupes; i++ {
+				if statuses[i] != http.StatusOK {
+					t.Fatalf("request %d: status %d: %s", i, statuses[i], bodies[i])
+				}
+				if !bytes.Equal(bodies[i], bodies[0]) {
+					t.Fatalf("coalesced responses differ:\n%s\nvs\n%s", bodies[0], bodies[i])
+				}
+				if coalesced[i] {
+					nCoalesced++
+				}
 			}
-			bodies[i], statuses[i] = b, resp.StatusCode
-			coalesced[i] = resp.Header.Get("X-Coalesced") == "1"
-		}(i)
-	}
-	wg.Wait()
-	nCoalesced := 0
-	for i := 0; i < dupes; i++ {
-		if statuses[i] != http.StatusOK {
-			t.Fatalf("request %d: status %d: %s", i, statuses[i], bodies[i])
-		}
-		if !bytes.Equal(bodies[i], bodies[0]) {
-			t.Fatalf("coalesced responses differ:\n%s\nvs\n%s", bodies[0], bodies[i])
-		}
-		if coalesced[i] {
-			nCoalesced++
-		}
-	}
-	if got := s.Computes(); got != 1 {
-		t.Fatalf("computed %d responses for %d identical requests, want 1", got, dupes)
-	}
-	if sims := eng.Simulated(); sims != 1 {
-		t.Fatalf("simulated %d cells for %d identical requests, want 1", sims, dupes)
-	}
-	if nCoalesced != dupes-1 {
-		t.Fatalf("%d responses marked coalesced, want %d", nCoalesced, dupes-1)
+			if got := s.Computes(); got != 1 {
+				t.Fatalf("computed %d responses for %d identical requests, want 1", got, dupes)
+			}
+			if sims := eng.Simulated(); sims != 1 {
+				t.Fatalf("simulated %d cells for %d identical one-cell requests, want 1", sims, dupes)
+			}
+			if nCoalesced != dupes-1 || s.Coalesced() != int64(dupes-1) {
+				t.Fatalf("%d responses marked coalesced (counter %d), want %d", nCoalesced, s.Coalesced(), dupes-1)
+			}
+		})
 	}
 }
 

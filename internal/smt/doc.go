@@ -8,11 +8,13 @@
 // per cycle from the single highest-priority thread (ICOUNT.1.W style).
 // Instructions enter the thread's private window, become ready when their
 // register sources complete (loads carry a fixed latency), and leave the
-// window at completion. Each thread maintains a private DDT, and the
-// dependence policy prioritises the thread whose in-flight instructions
-// have the shortest average dependence chains — the paper's "more accurate
-// measure of the likelihood of a particular thread making forward
-// progress".
+// window in order once completed. Each thread's window is a
+// wtrace.Window — the rename map, free list and DDT the other Section 3
+// studies share — and the thread adds only completion times and chain
+// lengths. The dependence policy prioritises the thread whose in-flight
+// instructions have the shortest average dependence chains — the paper's
+// "more accurate measure of the likelihood of a particular thread making
+// forward progress".
 //
 // Main entry points: Run executes one (programs × Policy × Config) cell
 // and returns a Result (combined cycles, per-thread retired counts, peak

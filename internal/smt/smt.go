@@ -5,9 +5,9 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/prog"
 	"repro/internal/vm"
+	"repro/internal/wtrace"
 )
 
 // Policy selects which thread fetches each cycle.
@@ -74,17 +74,16 @@ func (r Result) Throughput() float64 {
 	return float64(r.TotalInsts) / float64(r.Cycles)
 }
 
+// inflight is a thread's per-instruction state, in window (program)
+// order; rename and dependence tracking live in the thread's wtrace.Window.
 type inflight struct {
-	doneC     int64
-	displaced core.PhysReg
-	chainLen  int
+	doneC    int64
+	chainLen int
 }
 
 type thread struct {
 	machine  *vm.VM
-	ddt      *core.DDT
-	mapTable [isa.NumRegs]core.PhysReg
-	freeList []core.PhysReg
+	win      *wtrace.Window
 	doneC    []int64 // per physical register
 	window   []inflight
 	chainBuf bitvec.Vec // reused per-instruction chain read (DDT.ChainInto)
@@ -94,24 +93,16 @@ type thread struct {
 }
 
 func newThread(p *prog.Program, window int) (*thread, error) {
-	physRegs := isa.NumRegs + window + 1
-	ddt, err := core.NewDDT(core.Config{Entries: window, PhysRegs: physRegs})
+	win, err := wtrace.NewWindow(window, false)
 	if err != nil {
 		return nil, err
 	}
-	t := &thread{
+	return &thread{
 		machine:  vm.New(p),
-		ddt:      ddt,
-		doneC:    make([]int64, physRegs),
+		win:      win,
+		doneC:    make([]int64, win.DDT().Config().PhysRegs),
 		chainBuf: bitvec.New(window),
-	}
-	for i := 0; i < isa.NumRegs; i++ {
-		t.mapTable[i] = core.PhysReg(i)
-	}
-	for i := isa.NumRegs; i < physRegs; i++ {
-		t.freeList = append(t.freeList, core.PhysReg(i))
-	}
-	return t, nil
+	}, nil
 }
 
 // avgChain is the thread's dependence metric: mean chain length over the
@@ -126,23 +117,19 @@ func (t *thread) avgChain() float64 {
 // retireReady drains completed instructions from the window head.
 func (t *thread) retireReady(now int64) {
 	for len(t.window) > 0 && t.window[0].doneC <= now {
-		f := t.window[0]
+		t.chainSum -= int64(t.window[0].chainLen)
 		t.window = t.window[1:]
-		t.chainSum -= int64(f.chainLen)
-		if _, err := t.ddt.Commit(); err != nil {
+		if err := t.win.Retire(); err != nil {
 			panic("smt: window desync: " + err.Error())
-		}
-		if f.displaced != core.NoPReg {
-			t.freeList = append(t.freeList, f.displaced)
 		}
 		t.retired++
 	}
 }
 
 // fetchOne renames and "executes" one instruction, returning false when the
-// thread cannot fetch (halted or private DDT full).
+// thread cannot fetch (halted or private window full).
 func (t *thread) fetchOne(now int64, loadLat int) bool {
-	if t.halted || len(t.window) >= cap0(t.ddt) {
+	if t.halted || t.win.DDT().Full() {
 		return false
 	}
 	var ev vm.Event
@@ -151,52 +138,35 @@ func (t *thread) fetchOne(now int64, loadLat int) bool {
 		return false
 	}
 	in := ev.Inst
-	var srcBuf [2]isa.Reg
-	srcs := in.SrcRegs(srcBuf[:0])
+	srcs := t.win.Sources(in)
 	ready := now
-	var srcPregs [2]core.PhysReg
-	n := 0
-	for _, r := range srcs {
-		p := t.mapTable[r]
-		srcPregs[n] = p
-		n++
+	for _, p := range srcs {
 		if t.doneC[p] > ready {
 			ready = t.doneC[p]
 		}
 	}
-	dest := core.NoPReg
-	displaced := core.NoPReg
-	if in.HasDest() {
-		dest = t.freeList[0]
-		t.freeList = t.freeList[1:]
-		displaced = t.mapTable[in.Rd]
-		t.mapTable[in.Rd] = dest
-	}
-	if _, err := t.ddt.Insert(dest, srcPregs[:n], in.IsLoad()); err != nil {
+	dest, err := t.win.Insert(in, srcs)
+	if err != nil {
 		panic("smt: DDT insert failed: " + err.Error())
 	}
 	lat := int64(in.ExecLatency())
 	if in.IsLoad() {
 		lat += int64(loadLat)
 	}
-	done := ready + lat
+	f := inflight{doneC: ready + lat}
 	if dest != core.NoPReg {
-		t.doneC[dest] = done
+		t.doneC[dest] = f.doneC
 		destReg := [1]core.PhysReg{dest}
-		t.ddt.ChainInto(t.chainBuf, destReg[:])
-		cl := t.chainBuf.Count()
-		t.window = append(t.window, inflight{doneC: done, displaced: displaced, chainLen: cl})
-		t.chainSum += int64(cl)
-	} else {
-		t.window = append(t.window, inflight{doneC: done, displaced: displaced})
+		t.win.DDT().ChainInto(t.chainBuf, destReg[:])
+		f.chainLen = t.chainBuf.Count()
+		t.chainSum += int64(f.chainLen)
 	}
+	t.window = append(t.window, f)
 	if t.machine.Halt {
 		t.halted = true
 	}
 	return true
 }
-
-func cap0(d *core.DDT) int { return d.Config().Entries }
 
 // Run executes the programs as SMT threads under the policy until every
 // thread halts or MaxCycles elapse.
@@ -261,7 +231,7 @@ func Run(progs []*prog.Program, policy Policy, cfg Config) (Result, error) {
 // choose applies the fetch policy; -1 means no thread can fetch.
 func choose(threads []*thread, policy Policy, rr *int, sharedFree int) int {
 	fetchable := func(t *thread) bool {
-		return sharedFree > 0 && !t.halted && len(t.window) < cap0(t.ddt)
+		return sharedFree > 0 && !t.halted && !t.win.DDT().Full()
 	}
 	switch policy {
 	case RoundRobin:

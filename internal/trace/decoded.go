@@ -50,11 +50,12 @@ func RecordAll(p *prog.Program, max int64) (*Decoded, error) {
 		d.recs = make([]rec, 0, n)
 	}
 	machine := vm.New(p)
-	if _, err := machine.Run(max, func(ev *vm.Event) {
+	if _, err := machine.Run(max, func(ev *vm.Event) error {
 		d.recs = append(d.recs, rec{
 			addr: ev.Addr, val: ev.Val,
 			pc: uint32(ev.PC), next: uint32(ev.NextPC), taken: ev.Taken,
 		})
+		return nil
 	}); err != nil {
 		return nil, err
 	}

@@ -120,24 +120,15 @@ func (t *Writer) Flush() error {
 
 // Record runs the program on a fresh VM for up to max instructions
 // (0 = to halt), streaming the trace into w. It returns the number of
-// instructions recorded.
+// instructions recorded; a write error stops the run and is returned.
 func Record(p *prog.Program, max int64, w io.Writer) (int64, error) {
 	tw, err := NewWriter(p, w)
 	if err != nil {
 		return 0, err
 	}
-	machine := vm.New(p)
-	var werr error
-	n, err := machine.Run(max, func(ev *vm.Event) {
-		if werr == nil {
-			werr = tw.Append(ev)
-		}
-	})
+	n, err := vm.New(p).Run(max, tw.Append)
 	if err != nil {
 		return n, err
-	}
-	if werr != nil {
-		return n, werr
 	}
 	return n, tw.Flush()
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -346,5 +347,35 @@ func TestWriterLen(t *testing.T) {
 	}
 	if w.Len() != 5 {
 		t.Errorf("len = %d", w.Len())
+	}
+}
+
+// failingWriter accepts limit bytes, then fails every write.
+type failingWriter struct{ limit int }
+
+var errSinkFull = errors.New("sink full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.limit {
+		n := w.limit
+		w.limit = 0
+		return n, errSinkFull
+	}
+	w.limit -= len(p)
+	return len(p), nil
+}
+
+// TestRecordStopsOnWriteError pins that a failing sink stops the
+// recording: Record returns the sink's error as soon as a buffered write
+// reaches it, instead of stepping the VM on to its budget.
+func TestRecordStopsOnWriteError(t *testing.T) {
+	p := asm.MustAssemble("spin", "main:\n  j main\n")
+	const max = 100_000
+	n, err := Record(p, max, &failingWriter{limit: 4 << 10})
+	if !errors.Is(err, errSinkFull) {
+		t.Fatalf("err = %v, want the sink's error", err)
+	}
+	if n >= max/10 {
+		t.Errorf("recorded %d of %d instructions after the sink failed", n, max)
 	}
 }

@@ -293,9 +293,10 @@ func b2i(b bool) int64 {
 }
 
 // Run executes up to max instructions (or until halt/fault if max <= 0),
-// invoking fn for each event when fn is non-nil. It returns the number of
-// instructions retired.
-func (v *VM) Run(max int64, fn func(*Event)) (int64, error) {
+// invoking fn for each event when fn is non-nil. An error from fn stops
+// the run and is returned. It returns the number of instructions retired,
+// counting the one whose callback failed.
+func (v *VM) Run(max int64, fn func(*Event) error) (int64, error) {
 	var ev Event
 	var n int64
 	for max <= 0 || n < max {
@@ -307,7 +308,9 @@ func (v *VM) Run(max int64, fn func(*Event)) (int64, error) {
 		}
 		n++
 		if fn != nil {
-			fn(&ev)
+			if err := fn(&ev); err != nil {
+				return n, err
+			}
 		}
 		if v.Halt {
 			return n, nil
@@ -321,8 +324,9 @@ func (v *VM) Run(max int64, fn func(*Event)) (int64, error) {
 func Collect(p *prog.Program, max int64) ([]Event, error) {
 	v := New(p)
 	var out []Event
-	_, err := v.Run(max, func(e *Event) {
+	_, err := v.Run(max, func(e *Event) error {
 		out = append(out, *e)
+		return nil
 	})
 	return out, err
 }

@@ -18,7 +18,7 @@ func run(t *testing.T, src string, max int64) (*VM, []Event) {
 	}
 	v := New(p)
 	var evs []Event
-	if _, err := v.Run(max, func(e *Event) { evs = append(evs, *e) }); err != nil {
+	if _, err := v.Run(max, func(e *Event) error { evs = append(evs, *e); return nil }); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	return v, evs

@@ -10,7 +10,10 @@
 // benchmark through a predictor with a DDT-dependent-count criticality
 // cut (threshold 0 = predict every value-producing instruction) and
 // returns a Result (candidates, predictions, correct — from which
-// Coverage and Accuracy derive). The experiment harness wraps this
+// Coverage and Accuracy derive). The dependent counts come from a
+// wtrace.Window, the in-flight window the Section 3 studies share;
+// EvaluateSelective adds only each in-flight instruction's pc, value and
+// whether it writes a register. The experiment harness wraps this
 // package as sim.VPredStudy (cells of `experiments -only vpred` and the
 // service's POST /v1/study/vpred); the expected shape is that selection
 // raises accuracy while deliberately lowering coverage.

@@ -3,10 +3,9 @@ package vpred
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/prog"
 	"repro/internal/vm"
+	"repro/internal/wtrace"
 )
 
 // Predictor predicts the result value of an instruction at a PC.
@@ -142,116 +141,49 @@ func (r Result) Accuracy() float64 {
 // trailing dependents by the time the window retires them are candidates.
 // A depThreshold of 0 disables selection (predict everything).
 //
-// The DDT is maintained over a sliding window of windowSize instructions
-// (the in-flight set of an idealized machine); predictions are scored when
-// the window retires an instruction, at which point its final dependent
-// count is known.
+// The DDT is maintained over a sliding wtrace.Window of windowSize
+// instructions (the in-flight set of an idealized machine); predictions
+// are scored when the window retires an instruction, at which point its
+// final dependent count is known.
 func EvaluateSelective(p *prog.Program, pred Predictor, maxInsts int64,
 	windowSize, depThreshold int) (Result, error) {
-	ddt, err := core.NewDDT(core.Config{
-		Entries:        windowSize,
-		PhysRegs:       isa.NumRegs + windowSize + 1,
-		TrackDepCounts: true,
-	})
+	win, err := wtrace.NewWindow(windowSize, true)
 	if err != nil {
 		return Result{}, err
 	}
-
-	var mapTable [isa.NumRegs]core.PhysReg
-	for i := range mapTable {
-		mapTable[i] = core.PhysReg(i)
-	}
-	freeList := make([]core.PhysReg, 0, windowSize+1)
-	for i := isa.NumRegs; i < isa.NumRegs+windowSize+1; i++ {
-		freeList = append(freeList, core.PhysReg(i))
-	}
-
+	ddt := win.DDT()
 	type slot struct {
-		pc        uint64
-		val       int64
-		displaced core.PhysReg
-		hasDest   bool
+		pc      uint64
+		val     int64
+		hasDest bool
 	}
-	window := make([]slot, 0, windowSize)
+	slots := make([]slot, windowSize) // indexed by DDT entry
 	var res Result
-
-	retire := func() {
-		s := window[0]
-		window = window[1:]
-		e, err2 := ddt.Commit()
-		if err2 != nil {
-			panic("vpred: window desync: " + err2.Error())
-		}
-		_ = e
-		if s.displaced != core.NoPReg {
-			freeList = append(freeList, s.displaced)
-		}
-	}
-
-	machine := vm.New(p)
-	var ev vm.Event
-	var srcBuf [2]isa.Reg
-	var srcPregs []core.PhysReg
-	var executed int64
-	for maxInsts <= 0 || executed < maxInsts {
-		executed++
-		if err := machine.Step(&ev); err != nil {
-			if err == vm.ErrHalted {
-				break
-			}
-			return res, err
-		}
+	_, err = vm.New(p).Run(maxInsts, func(ev *vm.Event) error {
 		in := ev.Inst
-		if ddt.Full() {
-			retire()
+		slots[ddt.Head()] = slot{pc: uint64(ev.PC), val: ev.Val, hasDest: in.HasDest()}
+		if _, ierr := win.Insert(in, win.Sources(in)); ierr != nil {
+			return ierr
 		}
-		srcs := in.SrcRegs(srcBuf[:0])
-		srcPregs = srcPregs[:0]
-		for _, r := range srcs {
-			srcPregs = append(srcPregs, mapTable[r])
+		if !ddt.Full() {
+			return nil
 		}
-		dest := core.NoPReg
-		displaced := core.NoPReg
-		if in.HasDest() {
-			dest = freeList[0]
-			freeList = freeList[1:]
-			displaced = mapTable[in.Rd]
-			mapTable[in.Rd] = dest
-		}
-		entry, err := ddt.Insert(dest, srcPregs, in.IsLoad())
-		if err != nil {
-			return res, err
-		}
-		window = append(window, slot{
-			pc: uint64(ev.PC), val: ev.Val,
-			displaced: displaced, hasDest: in.HasDest(),
-		})
-
-		// Score the instruction once its dependent count has matured
-		// (window half full keeps counts meaningful without draining).
-		if len(window) == windowSize {
-			s := window[0]
-			if s.hasDest {
-				res.Insts++
-				// The retiring instruction sits at the tail entry.
-				dc := ddt.DepCount(ddt.Tail())
-				if dc >= depThreshold {
-					res.Candidates++
-					if v, confident := pred.Predict(s.pc); confident {
-						res.Predictions++
-						if v == s.val {
-							res.Correct++
-						}
+		// The window is full: retire its oldest instruction, scored with
+		// the dependents it gathered while in flight.
+		if s := slots[ddt.Tail()]; s.hasDest {
+			res.Insts++
+			if ddt.DepCount(ddt.Tail()) >= depThreshold {
+				res.Candidates++
+				if v, confident := pred.Predict(s.pc); confident {
+					res.Predictions++
+					if v == s.val {
+						res.Correct++
 					}
-					pred.Update(s.pc, s.val)
 				}
+				pred.Update(s.pc, s.val)
 			}
-			retire()
 		}
-		_ = entry
-		if machine.Halt {
-			break
-		}
-	}
-	return res, nil
+		return win.Retire()
+	})
+	return res, err
 }

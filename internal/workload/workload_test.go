@@ -10,7 +10,7 @@ import (
 func runToHalt(t *testing.T, b Benchmark, max int64) (insts, branches, taken, loads int64) {
 	t.Helper()
 	machine := vm.New(b.Prog)
-	n, err := machine.Run(max, func(e *vm.Event) {
+	n, err := machine.Run(max, func(e *vm.Event) error {
 		if e.Inst.IsCondBranch() {
 			branches++
 			if e.Taken {
@@ -20,6 +20,7 @@ func runToHalt(t *testing.T, b Benchmark, max int64) (insts, branches, taken, lo
 		if e.Inst.IsLoad() {
 			loads++
 		}
+		return nil
 	})
 	if err != nil {
 		t.Fatalf("%s: %v", b.Name, err)
