@@ -27,11 +27,7 @@ func runSpec(b *testing.B, spec sim.Spec) cpu.Stats {
 	if spec.MaxInsts == 0 {
 		spec.MaxInsts = benchInsts
 	}
-	r, err := sim.Simulate(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return r.Stats
+	return runCfg(b, spec.Bench, spec.Config())
 }
 
 func runCfg(b *testing.B, bench string, cfg cpu.Config) cpu.Stats {

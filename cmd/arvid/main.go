@@ -16,7 +16,8 @@
 //	arvid -addr 127.0.0.1:9000         # explicit listen address
 //	arvid -max-inflight 4              # at most 4 concurrent computations
 //	arvid -max-insts 10000000          # per-request total instruction cap
-//	arvid -cache "" -no-traces         # stateless (everything simulates)
+//	arvid -cache "" -trace-dir ""      # nothing on disk: every cell simulates,
+//	                                   #   replaying traces kept in memory
 //
 // Scaling out (see DESIGN.md's distributed execution section):
 //
@@ -78,7 +79,6 @@ func main() {
 	addr := flag.String("addr", ":8744", "listen address")
 	cacheDir := flag.String("cache", ".simcache", "result cache directory shared with the CLIs (empty = no cache)")
 	traceDir := flag.String("trace-dir", ".simtraces", "trace store directory shared with the CLIs (empty = record+replay in memory only)")
-	noTraces := flag.Bool("no-traces", false, "disable the trace store: every cell runs its own functional VM")
 	traceMem := flag.Int64("trace-mem", 0, "resident decoded-trace budget in MiB (0 = default)")
 	workers := flag.Int("workers", 0, "max concurrent simulations inside the engine (0 = GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently computing requests; excess get 429 (0 = 2x GOMAXPROCS)")
@@ -120,8 +120,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "arvid: -default-insts %d out of range (need >= 1)\n", *defaultInsts)
 		os.Exit(2)
 	}
+	if err := sim.ValidateTraceMem(*traceMem); err != nil {
+		fmt.Fprintln(os.Stderr, "arvid:", err)
+		os.Exit(2)
+	}
 
-	eng := &sim.Engine{Workers: *workers}
+	ts, err := sim.OpenTraceStore(*traceDir, *traceMem<<20)
+	if err != nil {
+		fail(err)
+	}
+	eng := &sim.Engine{Workers: *workers, Traces: ts}
 	if *cacheDir != "" {
 		c, err := sim.OpenCache(*cacheDir)
 		if err != nil {
@@ -131,13 +139,6 @@ func main() {
 			c.SetPeers(storage.NewPeerKV(peerURLs, nil), *cachePush)
 		}
 		eng.Cache = c
-	}
-	if !*noTraces {
-		ts, err := sim.OpenTraceStore(*traceDir, *traceMem<<20)
-		if err != nil {
-			fail(err)
-		}
-		eng.Traces = ts
 	}
 
 	var coord *dist.Coordinator
@@ -175,7 +176,11 @@ func main() {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "arvid: serving on %s as %s (cache %q, traces %q)\n", *addr, *role, *cacheDir, traceLabel(*noTraces, *traceDir))
+	traces := *traceDir
+	if traces == "" {
+		traces = "(memory only)"
+	}
+	fmt.Fprintf(os.Stderr, "arvid: serving on %s as %s (cache %q, traces %q)\n", *addr, *role, *cacheDir, traces)
 
 	select {
 	case err := <-errc:
@@ -208,15 +213,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// traceLabel names the trace tier for the startup line.
-func traceLabel(disabled bool, dir string) string {
-	if disabled {
-		return "(disabled)"
-	}
-	if dir == "" {
-		return "(memory only)"
-	}
-	return dir
 }

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"math"
 	"os"
 	"os/exec"
+	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -21,34 +25,42 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestBaseURLFlagsRejected pins -workers-list and -cache-peers to the
-// base-URL rule POST /v1/workers applies: a URL without an http(s)
-// scheme and a host, or with a query or fragment, is a usage error (exit
-// 2) carrying the rule's own message, before any cache is opened or any
-// port bound.
-func TestBaseURLFlagsRejected(t *testing.T) {
+// TestUsageFlagsRejected pins flag values arvid must refuse before any
+// store is opened or any port bound: a usage error (exit 2) carrying the
+// shared validator's own message. -workers-list and -cache-peers follow
+// the base-URL rule POST /v1/workers applies (an http(s) scheme and a
+// host, no query or fragment); -trace-mem must be a budget the trace
+// store can honour, not one it would silently read as its default. Each
+// run has a deadline, so a value that is wrongly accepted fails the case
+// instead of hanging the test on a serving daemon.
+func TestUsageFlagsRejected(t *testing.T) {
+	tooBig := strconv.FormatInt(math.MaxInt64>>20+1, 10)
 	cases := []struct {
 		flags []string
-		bad   string
+		want  error
 	}{
-		{[]string{"-role", "coordinator", "-workers-list", "localhost:8751"}, "localhost:8751"},
-		{[]string{"-role", "coordinator", "-workers-list", "http://127.0.0.1:8751,ftp://h:1"}, "ftp://h:1"},
-		{[]string{"-role", "coordinator", "-workers-list", "http://h:1/?x=1"}, "http://h:1/?x=1"},
-		{[]string{"-cache-peers", "http://h:1#frag"}, "http://h:1#frag"},
-		{[]string{"-cache-peers", "h:1"}, "h:1"},
+		{[]string{"-role", "coordinator", "-workers-list", "localhost:8751"}, sim.ValidateBaseURL("localhost:8751")},
+		{[]string{"-role", "coordinator", "-workers-list", "http://127.0.0.1:8751,ftp://h:1"}, sim.ValidateBaseURL("ftp://h:1")},
+		{[]string{"-role", "coordinator", "-workers-list", "http://h:1/?x=1"}, sim.ValidateBaseURL("http://h:1/?x=1")},
+		{[]string{"-cache-peers", "http://h:1#frag"}, sim.ValidateBaseURL("http://h:1#frag")},
+		{[]string{"-cache-peers", "h:1"}, sim.ValidateBaseURL("h:1")},
+		{[]string{"-trace-mem", "-1"}, sim.ValidateTraceMem(-1)},
+		{[]string{"-trace-mem", tooBig}, sim.ValidateTraceMem(math.MaxInt64>>20 + 1)},
 	}
 	for _, tc := range cases {
-		cmd := exec.Command(os.Args[0], append([]string{"-cache", "", "-no-traces", "-addr", "127.0.0.1:0"}, tc.flags...)...)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-cache", "", "-trace-dir", "", "-addr", "127.0.0.1:0"}, tc.flags...)...)
 		cmd.Env = append(os.Environ(), "ARVID_RUN_MAIN=1")
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		err := cmd.Run()
+		cancel()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 			t.Errorf("%v: exit %v, want status 2 (stderr %q)", tc.flags, err, stderr.String())
 			continue
 		}
-		if want := "arvid: " + sim.ValidateBaseURL(tc.bad).Error() + "\n"; stderr.String() != want {
+		if want := "arvid: " + tc.want.Error() + "\n"; stderr.String() != want {
 			t.Errorf("%v: stderr %q, want %q", tc.flags, stderr.String(), want)
 		}
 	}

@@ -11,6 +11,10 @@
 //	arvisim -bench gcc -replay gcc.trc        # replay a recorded trace
 //	arvisim -bench gcc -trace-dir .simtraces  # record-once trace store (shared
 //	                                          #   with cmd/experiments)
+//
+// A run records the benchmark's trace once and replays it through the
+// timing model: into -trace-dir when given, else in memory. -n must be at
+// least 1 (exit status 2 otherwise).
 package main
 
 import (
@@ -35,14 +39,14 @@ func main() {
 	bench := flag.String("bench", "m88ksim", "benchmark: gcc compress go ijpeg li m88ksim perl vortex")
 	depth := flag.Int("depth", 20, "pipeline depth in stages: 20, 40 or 60")
 	mode := flag.String("mode", "arvi-current", "predictor: baseline arvi-current arvi-loadback arvi-perfect")
-	n := flag.Int64("n", sim.DefaultMaxInsts, "dynamic instruction budget")
+	n := flag.Int64("n", sim.DefaultMaxInsts, "dynamic instruction budget (>= 1)")
 	cut := flag.Bool("cut-at-loads", false, "DDT chain ablation: cut chains at loads")
 	confTh := flag.Uint("conf-threshold", 0, "JRS confidence threshold override, 1-15 (0 = paper default, not threshold 0)")
 	jsonOut := flag.Bool("json", false, "emit the spec and raw stats as JSON instead of text")
 	cacheDir := flag.String("cache", "", "result cache directory shared with cmd/experiments (empty = no cache)")
-	traceDir := flag.String("trace-dir", "", "trace store directory shared with cmd/experiments (empty = no store)")
+	traceDir := flag.String("trace-dir", "", "trace store directory shared with cmd/experiments (empty = record+replay in memory only)")
 	record := flag.String("record", "", "record the benchmark's dynamic trace to this file and exit (no timing run)")
-	replay := flag.String("replay", "", "replay the timing model from this trace file instead of a live VM run")
+	replay := flag.String("replay", "", "replay the timing model from this trace file instead of recording the benchmark's trace")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
@@ -57,6 +61,9 @@ func main() {
 		usage(err)
 	}
 	if err := sim.ValidateDepth(*depth); err != nil {
+		usage(err)
+	}
+	if err := sim.ValidateBudget(*n); err != nil {
 		usage(err)
 	}
 	b, _ := workload.Lookup(*bench)
@@ -107,6 +114,11 @@ func main() {
 		CutAtLoads: *cut, ConfThreshold: uint8(*confTh),
 	}
 
+	// Ctrl-C cancels the run at its next checkpoint instead of leaving a
+	// half-written profile or cache temp file behind.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	var res sim.Result
 	if *replay != "" {
 		// Replay bypasses the engine: the trace file is the event source
@@ -124,7 +136,7 @@ func main() {
 			fatal(err)
 		}
 		src := &haltCheckSource{src: rd}
-		st, err := eng.RunSource(b.Prog, src)
+		st, err := eng.RunSourceContext(ctx, b.Prog, src)
 		_ = f.Close() // read-only replay file
 
 		if err != nil {
@@ -155,11 +167,7 @@ func main() {
 			}
 			eng.Traces = ts
 		}
-		// Ctrl-C cancels the run at its next checkpoint instead of leaving
-		// a half-written profile or cache temp file behind.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		results, err := eng.Run(ctx, []sim.Spec{spec})
-		stop()
 		if err != nil {
 			fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,22 +24,21 @@ func main() {
 	fmt.Println("          ptr = ptr->next;")
 	fmt.Println()
 
+	// One (baseline, ARVI current) pair per depth; the engine records
+	// m88ksim's trace once and replays it for all six cells.
+	var specs []sim.Spec
 	for _, depth := range sim.Depths {
-		var base, cur cpu.Stats
 		for _, mode := range []cpu.PredMode{cpu.PredBaseline2Lvl, cpu.PredARVICurrent} {
-			res, err := sim.Simulate(sim.Spec{
-				Bench: "m88ksim", Depth: depth, Mode: mode, MaxInsts: 400_000,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			if mode == cpu.PredBaseline2Lvl {
-				base = res.Stats
-			} else {
-				cur = res.Stats
-			}
+			specs = append(specs, sim.Spec{Bench: "m88ksim", Depth: depth, Mode: mode, MaxInsts: 400_000})
 		}
-		fmt.Printf("%d-stage pipeline:\n", depth)
+	}
+	res, err := (&sim.Engine{}).Run(context.Background(), specs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i := 0; i < len(res); i += 2 {
+		base, cur := res[i].Stats, res[i+1].Stats
+		fmt.Printf("%d-stage pipeline:\n", res[i].Spec.Depth)
 		fmt.Printf("  two-level 2Bc-gskew  accuracy %.4f  IPC %.3f\n",
 			base.PredAccuracy(), base.IPC())
 		fmt.Printf("  ARVI current value   accuracy %.4f  IPC %.3f  (%+.1f%% IPC)\n",

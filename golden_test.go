@@ -48,13 +48,12 @@ func computeGolden(t *testing.T) goldenFile {
 		Stats:    make(map[string]cpu.Stats, len(workload.Names)),
 	}
 	for _, name := range workload.Names {
-		r, err := sim.Simulate(sim.Spec{
-			Bench: name, Depth: g.Depth, Mode: cpu.PredARVICurrent, MaxInsts: g.MaxInsts,
-		})
+		spec := sim.Spec{Bench: name, Depth: g.Depth, Mode: cpu.PredARVICurrent, MaxInsts: g.MaxInsts}
+		st, err := cpu.Run(workload.ByName(name).Prog, spec.Config())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		g.Stats[name] = r.Stats
+		g.Stats[name] = st
 	}
 	return g
 }

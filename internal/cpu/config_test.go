@@ -77,7 +77,7 @@ func TestHierarchyAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(workload.ByName("gcc").Prog); err != nil {
+	if _, err := runLive(eng, workload.ByName("gcc").Prog); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Hierarchy().L1D.Accesses() == 0 {

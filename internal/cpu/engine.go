@@ -221,7 +221,7 @@ type Engine struct {
 	srcRegBuf []isa.Reg
 	//arvi:scratch
 	wpUndo []wpUndo
-	evBuf  vm.Event // RunSource's event cursor: a local would escape
+	evBuf  vm.Event // replay's event cursor: a local would escape
 	// through the EventSource interface call and heap-allocate per run
 }
 
@@ -416,13 +416,14 @@ func (e *Engine) Reset() {
 func (e *Engine) Hierarchy() *mem.Hierarchy { return e.hier }
 
 // Run executes the program on the functional VM and replays it through the
-// timing model, returning the run statistics.
+// timing model, returning the run statistics. It is the live-VM reference
+// that replays of recorded traces are checked against.
 func Run(p *prog.Program, cfg Config) (Stats, error) {
 	e, err := NewEngine(cfg)
 	if err != nil {
 		return Stats{}, err
 	}
-	return e.Run(p)
+	return e.RunSource(p, &vmSource{m: vm.New(p)})
 }
 
 // EventSource streams the correct-path dynamic trace into the timing
@@ -448,24 +449,16 @@ func (s *vmSource) Next(ev *vm.Event) error {
 	return nil
 }
 
-// Run executes the program on the functional VM and replays it through the
-// timing model, returning the run statistics.
-func (e *Engine) Run(p *prog.Program) (Stats, error) {
-	return e.RunSource(p, &vmSource{m: vm.New(p)})
-}
-
-// RunSource replays an externally supplied trace of the given program
-// (e.g. one recorded by package trace) through the timing model.
+// RunSource is RunSourceContext without cancellation.
 //
 //arvi:hotpath
 func (e *Engine) RunSource(p *prog.Program, src EventSource) (Stats, error) {
-	e.prog = p
-	n, _, err := e.replay(src, 0, e.cfg.MaxInsts)
-	if err != nil {
-		return e.st, err
-	}
-	return e.finish(n), nil
+	return e.RunSourceContext(background, p, src)
 }
+
+// background is RunSource's context, built once: hotalloc cannot audit
+// a call to context.Background inside a hotpath function.
+var background = context.Background()
 
 // cancelChunk is how many instructions RunSourceContext replays between
 // context checks. At simulator speed a chunk is well under a millisecond,
@@ -474,23 +467,21 @@ func (e *Engine) RunSource(p *prog.Program, src EventSource) (Stats, error) {
 // per-instruction hot loop.
 const cancelChunk = 65536
 
-// RunContext is Run with cooperative cancellation: the replay stops with
-// ctx.Err() at the next chunk boundary after ctx is done. Statistics from
-// a canceled run are meaningless and must be discarded.
-func (e *Engine) RunContext(ctx context.Context, p *prog.Program) (Stats, error) {
-	return e.RunSourceContext(ctx, p, &vmSource{m: vm.New(p)})
-}
-
-// RunSourceContext is RunSource with cooperative cancellation, checking
-// ctx between cancelChunk-sized replay chunks. The per-instruction loop
+// RunSourceContext replays a trace of the given program (the live VM, or
+// one recorded by package trace) through the timing model, checking ctx
+// between cancelChunk-sized replay chunks: the replay stops with
+// ctx.Err() at the next chunk boundary after ctx is done, and the
+// statistics of a canceled run are meaningless. The per-instruction loop
 // itself (replay) stays context-free by design — see
-// DESIGN.md's failure domains section. An uncanceled run is
-// bit-identical to RunSource: the chunking only changes where the
+// DESIGN.md's failure domains section. Chunking only changes where the
 // instruction-budget comparison happens, not what is replayed.
+//
+//arvi:hotpath
 func (e *Engine) RunSourceContext(ctx context.Context, p *prog.Program, src EventSource) (Stats, error) {
 	e.prog = p
 	var n int64
 	for {
+		//arvi:dyncall a context's Err is an atomic load or a mutex-guarded read; it allocates nothing
 		if err := ctx.Err(); err != nil {
 			return e.st, err
 		}
@@ -512,14 +503,14 @@ func (e *Engine) RunSourceContext(ctx context.Context, p *prog.Program, src Even
 
 // replay streams events through the timing model starting from
 // instruction count n until the source is exhausted, an event fails, or
-// the count reaches limit (<= 0 for unlimited). It returns the updated
-// count and whether the source reported EOF. This is the per-instruction
-// hot loop; cancellation is layered above it in RunSourceContext.
+// the count reaches limit. It returns the updated count and whether the
+// source reported EOF. This is the per-instruction hot loop; cancellation
+// is layered above it in RunSourceContext.
 //
 //arvi:hotpath
 func (e *Engine) replay(src EventSource, n, limit int64) (int64, bool, error) {
 	ev := &e.evBuf
-	for limit <= 0 || n < limit {
+	for n < limit {
 		if err := src.Next(ev); err != nil { //arvi:dyncall EventSource impls (VM, trace cursor, replay reader) are allocation-audited
 			if err == io.EOF {
 				return n, true, nil

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -9,6 +10,12 @@ import (
 	"repro/internal/prog"
 	"repro/internal/vm"
 )
+
+// runLive replays p's live functional-VM execution through eng, as Run
+// does on a fresh engine.
+func runLive(eng *Engine, p *prog.Program) (Stats, error) {
+	return eng.RunSourceContext(context.Background(), p, &vmSource{m: vm.New(p)})
+}
 
 func runSrc(t *testing.T, src string, cfg Config) Stats {
 	t.Helper()
@@ -505,14 +512,14 @@ func TestEngineResetDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := eng.Run(p)
+		fresh, err := runLive(eng, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// A second run on dirty state must diverge-proof via Reset only.
 		for i := 0; i < 2; i++ {
 			eng.Reset()
-			again, err := eng.Run(p)
+			again, err := runLive(eng, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -538,12 +545,12 @@ func TestEngineResetMatchesWrongPathInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := eng.Run(p)
+	fresh, err := runLive(eng, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.Reset()
-	again, err := eng.Run(p)
+	again, err := runLive(eng, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestWrongPathInjectionKeepsAggregatesCoherent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", bench, err)
 		}
-		stats, err := e.Run(p)
+		stats, err := runLive(e, p)
 		if err != nil {
 			t.Fatalf("%s: %v", bench, err)
 		}

@@ -29,11 +29,14 @@
 //
 // Main entry points:
 //
-//   - Spec / Simulate / Engine.Run / RunMatrix — the Section 5
-//     branch-prediction cells and grids; MatrixSpecs enumerates a grid's
-//     cells, Matrix holds a (possibly partial) grid and
-//     Fig5a/Fig5b/Fig6Accuracy/Fig6IPC/Table2/Table4 render the paper's
-//     artifacts from it.
+//   - Spec / Engine.Run / RunMatrix — the Section 5 branch-prediction
+//     cells and grids. Every cell replays its benchmark's trace from the
+//     engine's trace store (Engine.Traces, or a private memory-only one),
+//     so each benchmark runs on the functional VM once per store;
+//     cpu.Run's live-VM run is the reference the tests hold replay to.
+//     MatrixSpecs enumerates a grid's cells, Matrix holds a (possibly
+//     partial) grid and Fig5a/Fig5b/Fig6Accuracy/Fig6IPC/Table2/Table4
+//     render the paper's artifacts from it.
 //   - Artifacts / RunArtifacts / RenderArtifacts — the seven text
 //     artifacts (Tables 2 and 4, Figures 5(a), 5(b) and 6 with the
 //     headline, and the two ablation sweeps), declared once: each entry

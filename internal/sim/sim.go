@@ -40,9 +40,9 @@ func (s Spec) String() string {
 }
 
 // Config derives the full machine configuration the spec simulates. It is
-// the single source of truth shared by Simulate and the result cache, so a
-// cache entry can never be served for a run that would have used different
-// timing parameters.
+// the single source of truth shared by the engine and the result cache, so
+// a cache entry can never be served for a run that would have used
+// different timing parameters.
 func (s Spec) Config() cpu.Config {
 	cfg := cpu.DefaultConfig(s.Depth, s.Mode)
 	cfg.MaxInsts = s.MaxInsts
@@ -62,23 +62,10 @@ type Result struct {
 	Stats cpu.Stats
 }
 
-// Simulate executes one run.
-func Simulate(spec Spec) (Result, error) {
-	b, ok := workload.Lookup(spec.Bench)
-	if !ok {
-		return Result{}, fmt.Errorf("sim: %s: unknown benchmark %q", spec, spec.Bench)
-	}
-	st, err := cpu.Run(b.Prog, spec.Config())
-	if err != nil {
-		return Result{}, fmt.Errorf("sim: %s: %w", spec, err)
-	}
-	return Result{Spec: spec, Stats: st}, nil
-}
-
 // Engine runs batches of specs on a bounded worker pool, optionally backed
-// by a persistent result cache and a record-once/replay-many trace store.
-// The zero value is usable: GOMAXPROCS workers, no cache, live-VM
-// execution.
+// by a persistent result cache, replaying every cell from a
+// record-once/replay-many trace store. The zero value is usable:
+// GOMAXPROCS workers, no cache, a private memory-only trace store.
 type Engine struct {
 	// Workers bounds concurrent simulations (and goroutine spawn);
 	// <= 0 means GOMAXPROCS.
@@ -86,13 +73,18 @@ type Engine struct {
 	// Cache, when non-nil, is consulted before simulating and updated
 	// after every successful run.
 	Cache *Cache
-	// Traces, when non-nil, supplies each benchmark's correct-path
-	// dynamic stream from a shared recorded trace instead of a private
-	// functional-VM run, so N configurations of one benchmark cost one VM
-	// execution plus N timing replays. Replayed statistics are identical
-	// to live-VM statistics (the determinism contract the result cache
-	// already relies on; see TestTraceStoreMatchesLiveSimulation).
+	// Traces supplies each benchmark's correct-path dynamic stream as a
+	// shared recorded trace, so N configurations of one benchmark cost
+	// one VM execution plus N timing replays. Replayed statistics are
+	// identical to live-VM statistics (the determinism contract the
+	// result cache already relies on; see
+	// TestTraceStoreMatchesLiveSimulation). When nil, the engine records
+	// into a private memory-only store opened on first use.
 	Traces *TraceStore
+
+	// ownTraces is the private store traces opens when Traces is nil.
+	ownTraces     *TraceStore
+	ownTracesOnce sync.Once
 
 	simulated atomic.Int64
 	cacheHits atomic.Int64
@@ -267,10 +259,19 @@ func (c *specCells) simulate(ctx context.Context, e *Engine, i int) (err error) 
 
 func (c *specCells) name(i int) string { return c.results[i].Spec.String() }
 
-// simulate executes one spec on a pooled engine, through the trace store
-// when the engine has one: the store yields the benchmark's shared decoded
-// trace (recording it on first request) and only the timing model runs per
-// spec.
+// traces returns the store the engine replays from: Traces, or else its
+// private memory-only store.
+func (e *Engine) traces() *TraceStore {
+	if e.Traces != nil {
+		return e.Traces
+	}
+	e.ownTracesOnce.Do(func() { e.ownTraces = memTraceStore(0, nil) })
+	return e.ownTraces
+}
+
+// simulate executes one spec on a pooled engine: the trace store yields
+// the benchmark's shared decoded trace (recording it on first request) and
+// only the timing model runs per spec.
 func (e *Engine) simulate(ctx context.Context, spec Spec) (cpu.Stats, error) {
 	b, ok := workload.Lookup(spec.Bench)
 	if !ok {
@@ -284,10 +285,7 @@ func (e *Engine) simulate(ctx context.Context, spec Spec) (cpu.Stats, error) {
 	// Return the engine on every path, including failures: engineFor
 	// resets on reuse, so a dirty engine is safe to pool.
 	defer pool.Put(eng)
-	if e.Traces == nil {
-		return eng.RunContext(ctx, b.Prog)
-	}
-	dec, err := e.Traces.Get(ctx, b.Prog, cfg.MaxInsts)
+	dec, err := e.traces().Get(ctx, b.Prog, cfg.MaxInsts)
 	if err != nil {
 		return cpu.Stats{}, err
 	}

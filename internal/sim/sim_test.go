@@ -21,16 +21,32 @@ func smallMatrix(t *testing.T, benches []string, depths []int, modes []cpu.PredM
 	return mx
 }
 
+// live runs spec on the functional VM through cpu.Run: the reference
+// every replayed cell must equal.
+func live(t *testing.T, spec Spec) cpu.Stats {
+	t.Helper()
+	st, err := cpu.Run(workload.ByName(spec.Bench).Prog, spec.Config())
+	if err != nil {
+		t.Fatalf("%s: live: %v", spec, err)
+	}
+	return st
+}
+
 func TestSimulateSingle(t *testing.T) {
-	r, err := Simulate(Spec{Bench: "compress", Depth: 20, Mode: cpu.PredBaseline2Lvl, MaxInsts: 5000})
+	spec := Spec{Bench: "compress", Depth: 20, Mode: cpu.PredBaseline2Lvl, MaxInsts: 5000}
+	res, err := (&Engine{}).Run(context.Background(), []Spec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := res[0]
 	if r.Stats.Insts != 5000 {
 		t.Errorf("insts = %d", r.Stats.Insts)
 	}
 	if r.Stats.Cycles <= 0 || r.Stats.CondBranches == 0 {
 		t.Errorf("degenerate stats: %+v", r.Stats)
+	}
+	if r.Stats != live(t, spec) {
+		t.Errorf("replayed stats differ from the live VM's:\nreplay %+v\nlive   %+v", r.Stats, live(t, spec))
 	}
 	if got := r.Spec.String(); !strings.Contains(got, "compress") || !strings.Contains(got, "20") {
 		t.Errorf("spec string = %q", got)
@@ -83,7 +99,7 @@ func TestRunAllPartialResults(t *testing.T) {
 }
 
 func TestSimulateUnknownBenchErrors(t *testing.T) {
-	if _, err := Simulate(Spec{Bench: "nosuch", Depth: 20}); err == nil {
+	if _, err := (&Engine{}).Run(context.Background(), []Spec{{Bench: "nosuch", Depth: 20}}); err == nil {
 		t.Error("unknown benchmark must error, not panic")
 	}
 }
@@ -98,11 +114,7 @@ func TestMatrixLookup(t *testing.T) {
 		{Bench: "gcc", Depth: 20, Mode: cpu.PredBaseline2Lvl, MaxInsts: 2000},
 		{Bench: "li", Depth: 40, Mode: cpu.PredARVICurrent, MaxInsts: 2000},
 	} {
-		r, err := Simulate(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mx.Add(r)
+		mx.Add(Result{Spec: s, Stats: live(t, s)})
 	}
 	if mx.Len() != 2 {
 		t.Fatalf("Len = %d", mx.Len())
@@ -156,12 +168,8 @@ func TestMatrixAblationCellsDoNotCollide(t *testing.T) {
 	var mx Matrix
 	stats := make(map[string]cpu.Stats, 3)
 	for name, s := range map[string]Spec{"base": base, "cut": cut, "conf": conf} {
-		r, err := Simulate(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats[name] = r.Stats
-		mx.Add(r)
+		stats[name] = live(t, s)
+		mx.Add(Result{Spec: s, Stats: stats[name]})
 	}
 	if mx.Len() != 3 {
 		t.Fatalf("Len = %d, want 3 distinct cells (ablation runs collided)", mx.Len())
@@ -306,16 +314,8 @@ func TestMatrixGetPanicsOnMissing(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	s := Spec{Bench: "vortex", Depth: 20, Mode: cpu.PredARVICurrent, MaxInsts: 6000}
-	a, err := Simulate(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Simulate(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Stats != b.Stats {
-		t.Errorf("same spec produced different stats:\n%+v\n%+v", a.Stats, b.Stats)
+	if a, b := live(t, s), live(t, s); a != b {
+		t.Errorf("same spec produced different stats:\n%+v\n%+v", a, b)
 	}
 }
 

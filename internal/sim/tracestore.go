@@ -95,21 +95,27 @@ func OpenTraceStore(dir string, memBudget int64) (*TraceStore, error) {
 // store against a fault-injecting FS; production callers use
 // OpenTraceStore.
 func OpenTraceStoreFS(dir string, memBudget int64, fsys storage.FS, brk *storage.Breaker) (*TraceStore, error) {
+	s := memTraceStore(memBudget, brk)
+	if dir != "" {
+		t, err := storage.OpenTier(dir, traceExt, fsys, s.brk)
+		if err != nil {
+			return nil, fmt.Errorf("sim: open trace store: %w", err)
+		}
+		s.dir, s.tier = dir, t
+	}
+	return s, nil
+}
+
+// memTraceStore builds a trace store without a backing directory, under
+// OpenTraceStoreFS's budget and breaker defaults.
+func memTraceStore(memBudget int64, brk *storage.Breaker) *TraceStore {
 	if memBudget <= 0 {
 		memBudget = DefaultTraceMemBudget
 	}
 	if brk == nil {
 		brk = storage.NewBreaker(0, 0)
 	}
-	s := &TraceStore{dir: dir, brk: brk, memBudget: memBudget, entries: make(map[traceKey]*traceEntry)}
-	if dir != "" {
-		t, err := storage.OpenTier(dir, traceExt, fsys, brk)
-		if err != nil {
-			return nil, fmt.Errorf("sim: open trace store: %w", err)
-		}
-		s.tier = t
-	}
-	return s, nil
+	return &TraceStore{brk: brk, memBudget: memBudget, entries: make(map[traceKey]*traceEntry)}
 }
 
 // Dir returns the backing directory ("" for a memory-only store).

@@ -60,17 +60,13 @@ func TestTraceStoreMatchesLiveSimulation(t *testing.T) {
 	const budget = 4000
 	for _, name := range workload.Names {
 		spec := Spec{Bench: name, Depth: 20, Mode: cpu.PredARVICurrent, MaxInsts: budget}
-		live, err := Simulate(spec)
-		if err != nil {
-			t.Fatalf("%s: live: %v", name, err)
-		}
 		traced, err := eng.simulate(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%s: traced: %v", name, err)
 		}
-		if live.Stats != traced {
+		if want := live(t, spec); want != traced {
 			t.Errorf("%s: replayed stats diverged from live:\nlive   %+v\nreplay %+v",
-				name, live.Stats, traced)
+				name, want, traced)
 		}
 	}
 	if got := store.Recorded(); got != int64(len(workload.Names)) {
@@ -81,41 +77,45 @@ func TestTraceStoreMatchesLiveSimulation(t *testing.T) {
 // TestRunMatrixExecutesEachBenchmarkOnce is the acceptance criterion for
 // the trace tier: a sweep with several predictor modes per benchmark runs
 // the functional VM exactly once per benchmark, and every replayed cell
-// matches a live simulation bit for bit.
+// matches a live simulation bit for bit — whether the engine is given a
+// store or, as its zero value, records into its own.
 func TestRunMatrixExecutesEachBenchmarkOnce(t *testing.T) {
-	store := memStore(t, 0)
-	eng := &Engine{Traces: store}
 	benches := []string{"gcc", "li"}
 	depths := []int{20, 40}
 	modes := []cpu.PredMode{cpu.PredBaseline2Lvl, cpu.PredARVICurrent, cpu.PredARVIPerfect}
 	const budget = 3000
-
-	mx, err := RunMatrix(context.Background(), eng, benches, depths, modes, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mx.Len() != len(benches)*len(depths)*len(modes) {
-		t.Fatalf("matrix cells = %d", mx.Len())
-	}
-	if got := store.Recorded(); got != int64(len(benches)) {
-		t.Errorf("functional VM executed %d times for %d benchmarks", got, len(benches))
-	}
-	for _, b := range benches {
-		for _, d := range depths {
-			for _, m := range modes {
-				live, err := Simulate(Spec{Bench: b, Depth: d, Mode: m, MaxInsts: budget})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, ok := mx.Lookup(b, d, m)
-				if !ok {
-					t.Fatalf("missing cell %s/%d/%v", b, d, m)
-				}
-				if got != live.Stats {
-					t.Errorf("%s/%d/%v: replay != live", b, d, m)
+	for _, tc := range []struct {
+		name string
+		eng  *Engine
+	}{
+		{"given store", &Engine{Traces: memStore(t, 0)}},
+		{"zero value", &Engine{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mx, err := RunMatrix(context.Background(), tc.eng, benches, depths, modes, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mx.Len() != len(benches)*len(depths)*len(modes) {
+				t.Fatalf("matrix cells = %d", mx.Len())
+			}
+			if got := tc.eng.traces().Recorded(); got != int64(len(benches)) {
+				t.Errorf("functional VM executed %d times for %d benchmarks", got, len(benches))
+			}
+			for _, b := range benches {
+				for _, d := range depths {
+					for _, m := range modes {
+						got, ok := mx.Lookup(b, d, m)
+						if !ok {
+							t.Fatalf("missing cell %s/%d/%v", b, d, m)
+						}
+						if got != live(t, Spec{Bench: b, Depth: d, Mode: m, MaxInsts: budget}) {
+							t.Errorf("%s/%d/%v: replay != live", b, d, m)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

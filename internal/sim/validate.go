@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"net/url"
 	"strings"
 
@@ -117,6 +118,21 @@ func ValidateSpec(s Spec) error {
 func ValidateSMTCycles(cycles int64) error {
 	if cycles <= 0 {
 		return fmt.Errorf("-smt-cycles %d out of range (need >= 1)", cycles)
+	}
+	return nil
+}
+
+// maxTraceMemMiB is the largest resident decoded-trace budget, in MiB,
+// whose byte count fits an int64.
+const maxTraceMemMiB int64 = math.MaxInt64 >> 20
+
+// ValidateTraceMem rejects a -trace-mem budget (MiB) the trace store
+// cannot honour: a negative one, or one whose byte count overflows. The
+// store reads any byte budget <= 0 as DefaultTraceMemBudget, so either
+// would silently become the default; 0 asks for that default.
+func ValidateTraceMem(mib int64) error {
+	if mib < 0 || mib > maxTraceMemMiB {
+		return fmt.Errorf("-trace-mem %d out of range (need 0 to %d MiB, 0 = default)", mib, maxTraceMemMiB)
 	}
 	return nil
 }

@@ -318,15 +318,3 @@ func (v *VM) Run(max int64, fn func(*Event) error) (int64, error) {
 	}
 	return n, nil
 }
-
-// Collect runs up to max instructions and returns the accumulated trace.
-// Intended for tests and small examples; experiment runs stream events.
-func Collect(p *prog.Program, max int64) ([]Event, error) {
-	v := New(p)
-	var out []Event
-	_, err := v.Run(max, func(e *Event) error {
-		out = append(out, *e)
-		return nil
-	})
-	return out, err
-}

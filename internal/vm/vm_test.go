@@ -257,14 +257,6 @@ func TestJrFault(t *testing.T) {
 	}
 }
 
-func TestCollect(t *testing.T) {
-	p := asm.MustAssemble("c", "main:\n  li r1, 1\n  halt")
-	evs, err := Collect(p, 0)
-	if err != nil || len(evs) != 2 {
-		t.Fatalf("Collect = %d events, %v", len(evs), err)
-	}
-}
-
 // Property: a random straight-line arithmetic computation matches a Go
 // reference evaluation of the same expression DAG.
 func TestQuickArithmeticVsReference(t *testing.T) {

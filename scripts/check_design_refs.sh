@@ -30,7 +30,9 @@ trap 'rm -f "$unknown_marker"' EXIT
 
 # cite <topic-regex> <heading-regex> <description>
 # If any tracked file matches topic-regex, DESIGN.md must contain a line
-# matching heading-regex.
+# matching heading-regex. Each heading-regex ends with "( |$)", so a
+# heading that only shares its prefix ("## Section 3 windows",
+# "### Ablation A10") does not answer the citation.
 cite() {
     topic=$1; heading=$2; desc=$3
     files=$(grep -rliE --include='*.go' --include='*.md' -e "$topic" . \
@@ -44,46 +46,46 @@ cite() {
 }
 
 cite 'DESIGN\.md.s per-experiment index' \
-     '^## Per-experiment index' \
+     '^## Per-experiment index( |$)' \
      'per-experiment index'
 cite 'DESIGN\.md ablation A1|ablation discussed in DESIGN\.md|CutAtLoads selects the DDT chain ablation' \
-     '^### Ablation A1' \
+     '^### Ablation A1( |$)' \
      'ablation A1 (DDT chain semantics / cut-at-loads)'
 cite 'DESIGN\.md ablation A2' \
-     '^### Ablation A2' \
+     '^### Ablation A2( |$)' \
      'ablation A2 (BVIT geometry)'
 cite 'DESIGN\.md: StalePhysical' \
-     '^## Stale-value policy' \
+     '^## Stale-value policy( |$)' \
      'StalePhysical default rationale'
 cite 'see DESIGN\.md for the substitution argument' \
-     '^## Workload substitution' \
+     '^## Workload substitution( |$)' \
      'SPEC95 stand-in substitution argument'
 cite 'DESIGN\.md documents our choice' \
-     '^## Memory latencies' \
+     '^## Memory latencies( |$)' \
      'garbled Table 2 latency choice'
 cite 'no wrong-path pollution.*see DESIGN\.md|wrong-path pollution' \
-     '^## Wrong-path modelling' \
+     '^## Wrong-path modelling( |$)' \
      'wrong-path modelling'
 cite 'as the paper sizes it; see DESIGN\.md' \
-     '^## Architectural value shadow' \
+     '^## Architectural value shadow( |$)' \
      'architectural value shadow'
 cite "DESIGN\\.md.s static contracts section" \
-     '^## Static contracts' \
+     '^## Static contracts( |$)' \
      'static contracts (arvivet annotation grammar)'
 cite "DESIGN\\.md.s flow-sensitive contracts section" \
-     '^## Flow-sensitive contracts' \
+     '^## Flow-sensitive contracts( |$)' \
      'flow-sensitive contracts (CFG, dataflow solver, nilness, hotpanic proof rules)'
 cite "DESIGN\\.md.s incremental RSE maintenance section" \
-     '^## Incremental RSE maintenance' \
+     '^## Incremental RSE maintenance( |$)' \
      'incremental RSE maintenance (aggregate invariant, delta rules, rollback coherence)'
 cite "DESIGN\\.md.s Section 3 window section" \
-     '^## Section 3 window' \
+     '^## Section 3 window( |$)' \
      'Section 3 window (wtrace.Window: register count, free-list order, users)'
 cite "DESIGN\\.md.s failure domains section" \
-     '^## Failure domains & degraded modes' \
+     '^## Failure domains & degraded modes( |$)' \
      'failure domains & degraded modes (cancellation points, circuit breakers, chaos suite)'
 cite "DESIGN\\.md.s distributed execution section" \
-     '^## Distributed execution' \
+     '^## Distributed execution( |$)' \
      'distributed execution (coordinator/worker tier, cache peers, streaming)'
 
 # Pass 2: every *line* citing DESIGN.md must be accounted for by a known
