@@ -237,10 +237,7 @@ func BenchmarkReplayThroughput(b *testing.B) {
 // benchmark) against the matrix cells it filled.
 func BenchmarkMatrixTraceStore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		store, err := sim.OpenTraceStore("", 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		store := sim.NewTraceStore(0)
 		eng := &sim.Engine{Traces: store}
 		mx, err := sim.RunMatrix(context.Background(), eng, workload.Names, []int{20}, sim.Modes, benchInsts)
 		if err != nil {

@@ -5,10 +5,11 @@
 // configuration pool of reset-able cpu.Engines) resident, so repeated
 // queries are warm cache hits in microseconds.
 //
-// The cache and trace directories default to the same `.simcache` /
-// `.simtraces` the CLIs use: a sweep primed by `experiments` serves
-// warm from arvid, and cells first simulated by arvid are cache hits for
-// the CLIs.
+// The cache directory defaults to the same `.simcache` the CLIs use: a
+// sweep primed by `experiments` serves warm from arvid, and cells first
+// simulated by arvid are cache hits for the CLIs. Traces live in memory
+// only: the daemon records each benchmark's trace once and replays it
+// for every cell of that benchmark it simulates.
 //
 // Usage:
 //
@@ -16,8 +17,7 @@
 //	arvid -addr 127.0.0.1:9000         # explicit listen address
 //	arvid -max-inflight 4              # at most 4 concurrent computations
 //	arvid -max-insts 10000000          # per-request total instruction cap
-//	arvid -cache "" -trace-dir ""      # nothing on disk: every cell simulates,
-//	                                   #   replaying traces kept in memory
+//	arvid -cache ""                    # nothing on disk: every cell simulates
 //
 // Scaling out (see DESIGN.md's distributed execution section):
 //
@@ -34,8 +34,9 @@
 // there. A single /v1/run is the worker job itself and runs where it
 // lands. Worker and peer URLs must be absolute http(s) with a host and
 // no query or fragment (exit status 2 otherwise). -cache-peers
-// lets any daemon serve local cache misses from its peers' caches over
-// GET/PUT /v1/cache/{key}.
+// lets any daemon with a -cache serve local cache misses from its peers'
+// caches over GET/PUT /v1/cache/{key}; -cache-push needs -cache-peers.
+// A negative count or duration flag is a usage error too.
 //
 //	curl localhost:8744/healthz
 //	curl localhost:8744/v1/bench
@@ -75,10 +76,16 @@ func fail(err error) {
 	os.Exit(1)
 }
 
+// usage rejects a bad flag value with exit status 2, before any store is
+// opened or any port bound.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "arvid:", err)
+	os.Exit(2)
+}
+
 func main() {
 	addr := flag.String("addr", ":8744", "listen address")
 	cacheDir := flag.String("cache", ".simcache", "result cache directory shared with the CLIs (empty = no cache)")
-	traceDir := flag.String("trace-dir", ".simtraces", "trace store directory shared with the CLIs (empty = record+replay in memory only)")
 	traceMem := flag.Int64("trace-mem", 0, "resident decoded-trace budget in MiB (0 = default)")
 	workers := flag.Int("workers", 0, "max concurrent simulations inside the engine (0 = GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently computing requests; excess get 429 (0 = 2x GOMAXPROCS)")
@@ -87,49 +94,56 @@ func main() {
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request simulation deadline; past it the request gets 504 (0 = no timeout)")
 	role := flag.String("role", "solo", "daemon role: solo (compute everything locally), worker (a solo node a coordinator fans jobs to), or coordinator (distribute sweeps to -workers-list)")
 	workersList := flag.String("workers-list", "", "comma-separated worker base URLs for the coordinator role (more can join via POST /v1/workers)")
-	cachePeers := flag.String("cache-peers", "", "comma-separated peer daemon base URLs to serve local cache misses from (GET /v1/cache)")
-	cachePush := flag.Bool("cache-push", false, "also replicate freshly computed cache entries to -cache-peers (PUT /v1/cache)")
+	cachePeers := flag.String("cache-peers", "", "comma-separated peer daemon base URLs to serve local cache misses from (GET /v1/cache; needs -cache)")
+	cachePush := flag.Bool("cache-push", false, "also replicate freshly computed cache entries to -cache-peers (PUT /v1/cache; needs -cache-peers)")
 	distRetries := flag.Int("dist-retries", 0, "extra workers a failed job is offered before local fallback (0 = default)")
 	distBackoff := flag.Duration("dist-backoff", 0, "delay before a job's first retry, doubling per retry (0 = default)")
 	distTimeout := flag.Duration("dist-timeout", 0, "per-job HTTP timeout for coordinator->worker calls (0 = default)")
 	flag.Parse()
 
 	if *role != "solo" && *role != "worker" && *role != "coordinator" {
-		fmt.Fprintf(os.Stderr, "arvid: -role %q out of range (need solo, worker or coordinator)\n", *role)
-		os.Exit(2)
+		usage(fmt.Errorf("-role %q out of range (need solo, worker or coordinator)", *role))
 	}
 	if *role != "coordinator" && *workersList != "" {
-		fmt.Fprintf(os.Stderr, "arvid: -workers-list only applies to -role coordinator\n")
-		os.Exit(2)
+		usage(errors.New("-workers-list only applies to -role coordinator"))
 	}
 	// The base-URL rule (and its message) is POST /v1/workers' too; see
 	// internal/sim/validate.go.
 	workerURLs, peerURLs := splitList(*workersList), splitList(*cachePeers)
 	for _, u := range slices.Concat(workerURLs, peerURLs) {
 		if err := sim.ValidateBaseURL(u); err != nil {
-			fmt.Fprintln(os.Stderr, "arvid:", err)
-			os.Exit(2)
+			usage(err)
 		}
+	}
+	if len(peerURLs) > 0 && *cacheDir == "" {
+		usage(errors.New("-cache-peers only applies with a result cache (-cache)"))
+	}
+	if *cachePush && len(peerURLs) == 0 {
+		usage(errors.New("-cache-push only applies with -cache-peers"))
 	}
 
 	if *maxInsts <= 0 {
-		fmt.Fprintf(os.Stderr, "arvid: -max-insts %d out of range (need >= 1)\n", *maxInsts)
-		os.Exit(2)
+		usage(fmt.Errorf("-max-insts %d out of range (need >= 1)", *maxInsts))
 	}
 	if *defaultInsts <= 0 {
-		fmt.Fprintf(os.Stderr, "arvid: -default-insts %d out of range (need >= 1)\n", *defaultInsts)
-		os.Exit(2)
+		usage(fmt.Errorf("-default-insts %d out of range (need >= 1)", *defaultInsts))
 	}
-	if err := sim.ValidateTraceMem(*traceMem); err != nil {
-		fmt.Fprintln(os.Stderr, "arvid:", err)
-		os.Exit(2)
+	// Shared with cmd/experiments; see internal/sim/validate.go.
+	for _, err := range []error{
+		sim.ValidateTraceMem(*traceMem),
+		sim.ValidateNonNegative("-workers", *workers),
+		sim.ValidateNonNegative("-max-inflight", *maxInflight),
+		sim.ValidateNonNegative("-request-timeout", *requestTimeout),
+		sim.ValidateNonNegative("-dist-retries", *distRetries),
+		sim.ValidateNonNegative("-dist-backoff", *distBackoff),
+		sim.ValidateNonNegative("-dist-timeout", *distTimeout),
+	} {
+		if err != nil {
+			usage(err)
+		}
 	}
 
-	ts, err := sim.OpenTraceStore(*traceDir, *traceMem<<20)
-	if err != nil {
-		fail(err)
-	}
-	eng := &sim.Engine{Workers: *workers, Traces: ts}
+	eng := &sim.Engine{Workers: *workers, Traces: sim.NewTraceStore(*traceMem << 20)}
 	if *cacheDir != "" {
 		c, err := sim.OpenCache(*cacheDir)
 		if err != nil {
@@ -176,11 +190,7 @@ func main() {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	traces := *traceDir
-	if traces == "" {
-		traces = "(memory only)"
-	}
-	fmt.Fprintf(os.Stderr, "arvid: serving on %s as %s (cache %q, traces %q)\n", *addr, *role, *cacheDir, traces)
+	fmt.Fprintf(os.Stderr, "arvid: serving on %s as %s (cache %q)\n", *addr, *role, *cacheDir)
 
 	select {
 	case err := <-errc:

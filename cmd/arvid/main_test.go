@@ -30,9 +30,11 @@ func TestMain(m *testing.M) {
 // shared validator's own message. -workers-list and -cache-peers follow
 // the base-URL rule POST /v1/workers applies (an http(s) scheme and a
 // host, no query or fragment); -trace-mem must be a budget the trace
-// store can honour, not one it would silently read as its default. Each
-// run has a deadline, so a value that is wrongly accepted fails the case
-// instead of hanging the test on a serving daemon.
+// store can honour, and a count or duration flag must not be negative,
+// rather than be silently read as its default. Peers need a result cache
+// to fill, and -cache-push needs peers. Each run has a deadline, so a
+// value that is wrongly accepted fails the case instead of hanging the
+// test on a serving daemon.
 func TestUsageFlagsRejected(t *testing.T) {
 	tooBig := strconv.FormatInt(math.MaxInt64>>20+1, 10)
 	cases := []struct {
@@ -46,10 +48,19 @@ func TestUsageFlagsRejected(t *testing.T) {
 		{[]string{"-cache-peers", "h:1"}, sim.ValidateBaseURL("h:1")},
 		{[]string{"-trace-mem", "-1"}, sim.ValidateTraceMem(-1)},
 		{[]string{"-trace-mem", tooBig}, sim.ValidateTraceMem(math.MaxInt64>>20 + 1)},
+		{[]string{"-request-timeout", "-1s"}, sim.ValidateNonNegative("-request-timeout", -time.Second)},
+		{[]string{"-max-inflight", "-3"}, sim.ValidateNonNegative("-max-inflight", -3)},
+		{[]string{"-workers", "-2"}, sim.ValidateNonNegative("-workers", -2)},
+		{[]string{"-role", "coordinator", "-dist-retries", "-1"}, sim.ValidateNonNegative("-dist-retries", -1)},
+		{[]string{"-role", "coordinator", "-dist-backoff", "-1s"}, sim.ValidateNonNegative("-dist-backoff", -time.Second)},
+		{[]string{"-role", "coordinator", "-dist-timeout", "-1s"}, sim.ValidateNonNegative("-dist-timeout", -time.Second)},
+		{[]string{"-cache-peers", "http://127.0.0.1:8751"}, errors.New("-cache-peers only applies with a result cache (-cache)")},
+		{[]string{"-cache-peers", "http://127.0.0.1:8751", "-cache-push"}, errors.New("-cache-peers only applies with a result cache (-cache)")},
+		{[]string{"-cache-push"}, errors.New("-cache-push only applies with -cache-peers")},
 	}
 	for _, tc := range cases {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-cache", "", "-trace-dir", "", "-addr", "127.0.0.1:0"}, tc.flags...)...)
+		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-cache", "", "-addr", "127.0.0.1:0"}, tc.flags...)...)
 		cmd.Env = append(os.Environ(), "ARVID_RUN_MAIN=1")
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr

@@ -9,12 +9,9 @@
 //	arvisim -bench gcc -cache .simcache       # reuse cached results
 //	arvisim -bench gcc -record gcc.trc        # record the dynamic trace, no timing
 //	arvisim -bench gcc -replay gcc.trc        # replay a recorded trace
-//	arvisim -bench gcc -trace-dir .simtraces  # record-once trace store (shared
-//	                                          #   with cmd/experiments)
 //
-// A run records the benchmark's trace once and replays it through the
-// timing model: into -trace-dir when given, else in memory. -n must be at
-// least 1 (exit status 2 otherwise).
+// A run records the benchmark's trace in memory and replays it through
+// the timing model. -n must be at least 1 (exit status 2 otherwise).
 package main
 
 import (
@@ -44,7 +41,6 @@ func main() {
 	confTh := flag.Uint("conf-threshold", 0, "JRS confidence threshold override, 1-15 (0 = paper default, not threshold 0)")
 	jsonOut := flag.Bool("json", false, "emit the spec and raw stats as JSON instead of text")
 	cacheDir := flag.String("cache", "", "result cache directory shared with cmd/experiments (empty = no cache)")
-	traceDir := flag.String("trace-dir", "", "trace store directory shared with cmd/experiments (empty = record+replay in memory only)")
 	record := flag.String("record", "", "record the benchmark's dynamic trace to this file and exit (no timing run)")
 	replay := flag.String("replay", "", "replay the timing model from this trace file instead of recording the benchmark's trace")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -76,10 +72,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "arvisim: -record and -replay are mutually exclusive")
 		os.Exit(2)
 	}
-	if (*record != "" || *replay != "") && (*cacheDir != "" || *traceDir != "") {
+	if (*record != "" || *replay != "") && *cacheDir != "" {
 		// Standalone trace files bypass the engine, so silently accepting
-		// these would break the "shared with cmd/experiments" promise.
-		fmt.Fprintln(os.Stderr, "arvisim: -record/-replay bypass the engine; -cache and -trace-dir do not apply")
+		// this would break the "shared with cmd/experiments" promise.
+		fmt.Fprintln(os.Stderr, "arvisim: -record/-replay bypass the engine; -cache does not apply")
 		os.Exit(2)
 	}
 
@@ -159,13 +155,6 @@ func main() {
 				fatal(err)
 			}
 			eng.Cache = c
-		}
-		if *traceDir != "" {
-			ts, err := sim.OpenTraceStore(*traceDir, 0)
-			if err != nil {
-				fatal(err)
-			}
-			eng.Traces = ts
 		}
 		results, err := eng.Run(ctx, []sim.Spec{spec})
 		if err != nil {

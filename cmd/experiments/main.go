@@ -24,15 +24,13 @@
 //	experiments -only vpred     # Section 3 selective value prediction
 //	experiments -sweep-depth 40 # fig5b and the ablation sweeps at 40 stages
 //	experiments -cache ""       # disable the result cache
-//	experiments -trace-dir ""   # keep traces in memory only (no .simtraces)
 //	experiments -json out.json  # raw export of the selected study (also -csv)
 //
-// Each benchmark's correct-path stream is recorded once into the trace
-// store and replayed by every (depth × predictor) configuration, so a cold
-// full sweep executes the functional VM eight times instead of once per
-// cell; recorded traces persist under -trace-dir and later runs skip even
-// those executions. Every cell replays a trace, with or without
-// -trace-dir.
+// Each benchmark's correct-path stream is recorded once into an in-memory
+// trace store and replayed by every (depth × predictor) configuration, so
+// a cold full sweep executes the functional VM eight times instead of
+// once per cell. A warm run simulates nothing and so records nothing; a
+// resumed run records the traces of the cells it still has to simulate.
 package main
 
 import (
@@ -70,7 +68,6 @@ func main() {
 	csvPath := flag.String("csv", "", "additionally export the selected study's raw grid as CSV")
 	jsonPath := flag.String("json", "", "additionally export the selected study's raw grid (full stats) as JSON")
 	cacheDir := flag.String("cache", ".simcache", "result cache directory (empty = no cache)")
-	traceDir := flag.String("trace-dir", ".simtraces", "trace store directory (empty = record+replay in memory only)")
 	traceMem := flag.Int64("trace-mem", 0, "resident decoded-trace budget in MiB (0 = default)")
 	workers := flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	sweepDepth := flag.Int("sweep-depth", 20, "pipeline depth for fig5b and the ablation sweeps (>= 1)")
@@ -99,6 +96,7 @@ func main() {
 		sim.ValidateBudget(*n),
 		sim.ValidateDepth(*sweepDepth),
 		sim.ValidateTraceMem(*traceMem),
+		sim.ValidateNonNegative("-workers", *workers),
 		sim.ValidateSMTCycles(*smtCycles),
 		// Threshold 0 would make the "selective" cells identical to the
 		// all-instructions cells, silently collapsing the ablation.
@@ -149,10 +147,7 @@ func main() {
 	var vpredGrid *sim.VPredGrid
 	// Tables 2 and 4 alone simulate nothing: no engine, no stores.
 	if cells := len(sim.ArtifactSpecs(arts, *n, *sweepDepth, grid...)); cells > 0 || want("smt") || want("vpred") {
-		ts, err := sim.OpenTraceStore(*traceDir, *traceMem<<20)
-		if err != nil {
-			fail(err)
-		}
+		ts := sim.NewTraceStore(*traceMem << 20)
 		eng := &sim.Engine{Workers: *workers, Traces: ts}
 		if *cacheDir != "" {
 			c, err := sim.OpenCache(*cacheDir)
@@ -200,13 +195,7 @@ func main() {
 
 		fmt.Fprintf(os.Stderr, "experiments: done in %v (%d simulated, %d from cache)\n",
 			time.Since(start).Round(time.Millisecond), eng.Simulated(), eng.CacheHits())
-		fmt.Fprintf(os.Stderr, "experiments: traces: %d VM runs, %d memory hits, %d disk hits\n",
-			ts.Recorded(), ts.MemHits(), ts.DiskHits())
-		// A failed write parks its trace in memory until a later write
-		// succeeds, so what the next run misses is what is still parked.
-		if n, parked := ts.PersistErrs(), ts.MemEntries(); n > 0 || parked > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: warning: %d trace writes failed; %d traces did not reach disk\n", n, parked)
-		}
+		fmt.Fprintf(os.Stderr, "experiments: traces: %d VM runs, %d memory hits\n", ts.Recorded(), ts.MemHits())
 	}
 
 	if export {

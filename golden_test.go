@@ -103,10 +103,7 @@ func TestGoldenStats(t *testing.T) {
 // above. If this fails while TestGoldenStats passes, the trace replay path
 // — not the timing model — has drifted.
 func TestGoldenStatsReplayIdentical(t *testing.T) {
-	store, err := sim.OpenTraceStore("", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := sim.NewTraceStore(0)
 	eng := &sim.Engine{Traces: store}
 	live := computeGolden(t)
 	mx, err := sim.RunMatrix(context.Background(), eng, workload.Names, []int{live.Depth},

@@ -150,10 +150,7 @@ func TestChaosDistFaultyWorkerCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces, err := sim.OpenTraceStore("", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := sim.NewTraceStore(0)
 	faultyEng := &sim.Engine{Cache: cache, Traces: traces}
 	faultyTS := httptest.NewServer(New(Config{Engine: faultyEng, DefaultInsts: testInsts}))
 	t.Cleanup(faultyTS.Close)

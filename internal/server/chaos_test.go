@@ -232,34 +232,3 @@ func TestChaosHealthzReportsDegradedStorage(t *testing.T) {
 		t.Fatalf("post-recovery healthz: %+v", h)
 	}
 }
-
-// TestChaosHealthzReportsParkedTraces pins trace_mem_entries: a trace
-// the disk refused before the breaker tripped stays parked in memory,
-// and /healthz shows it while the status is still "ok".
-func TestChaosHealthzReportsParkedTraces(t *testing.T) {
-	ffs := storage.NewFaultFS(storage.OS{})
-	traces, err := sim.OpenTraceStoreFS(filepath.Join(t.TempDir(), "traces"), 0, ffs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(New(Config{Engine: &sim.Engine{Traces: traces}, DefaultInsts: testInsts}))
-	t.Cleanup(ts.Close)
-	ffs.Break()
-	if resp, body := post(t, ts.URL+"/v1/run", `{"bench":"li","depth":20,"mode":"arvi-current"}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("run on a write-broken trace disk: status %d; body %s", resp.StatusCode, body)
-	}
-	_, b := get(t, ts.URL+"/healthz")
-	var h struct {
-		Status  string `json:"status"`
-		Storage struct {
-			TraceDegraded   bool `json:"trace_degraded"`
-			TraceMemEntries int  `json:"trace_mem_entries"`
-		} `json:"storage"`
-	}
-	if err := json.Unmarshal(b, &h); err != nil {
-		t.Fatalf("healthz: %v (%s)", err, b)
-	}
-	if h.Status != "ok" || h.Storage.TraceDegraded || h.Storage.TraceMemEntries != 1 {
-		t.Fatalf("healthz with one parked trace: %s", b)
-	}
-}

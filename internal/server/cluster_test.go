@@ -460,10 +460,7 @@ func TestClusterSharedCacheDir(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		traces, err := sim.OpenTraceStore("", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		traces := sim.NewTraceStore(0)
 		eng := &sim.Engine{Cache: cache, Traces: traces}
 		ts := httptest.NewServer(New(Config{Engine: eng, DefaultInsts: testInsts}))
 		t.Cleanup(ts.Close)

@@ -1,11 +1,11 @@
 // Package server exposes the experiment engine (internal/sim) as a
 // long-running HTTP/JSON simulation service. Where the CLIs pay process
-// startup, cache open and trace decode on every invocation, a Server
-// keeps the hot state resident across requests: one shared trace store,
-// one on-disk result cache, and one engine whose per-configuration
-// sync.Pool of reset-able cpu.Engines survives between queries — so a
-// repeated query is a cache hit in microseconds instead of a cold process
-// in seconds.
+// startup, cache open and trace recording on every invocation, a Server
+// keeps the hot state resident across requests: one shared in-memory
+// trace store, one on-disk result cache, and one engine whose
+// per-configuration sync.Pool of reset-able cpu.Engines survives between
+// queries — so a repeated query is a cache hit in microseconds instead of
+// a cold process in seconds.
 //
 // Endpoints (see the README's "Serving" section for the full table):
 //
@@ -81,8 +81,9 @@ const DefaultMaxTotalInsts = 64_000_000
 type Config struct {
 	// Engine runs /v1/run, and every sweep unless Coordinator is set; its
 	// cache serves the cache-peer endpoints. It must be non-nil; give it
-	// a Cache and a TraceStore to get the warm-hit behaviour the service
-	// exists for.
+	// a Cache to get the warm-hit behaviour the service exists for. Its
+	// trace store (Traces, or the engine's private one) records each
+	// benchmark once per process.
 	Engine *sim.Engine
 	// MaxInflight bounds concurrently *computing* requests (validation
 	// and coalesced waiters are not counted). <= 0 means twice
@@ -400,9 +401,6 @@ type storageHealth struct {
 	CacheDegraded   bool  `json:"cache_degraded"`
 	CacheMemEntries int   `json:"cache_mem_entries"`
 	CacheTrips      int64 `json:"cache_trips"`
-	TraceDegraded   bool  `json:"trace_degraded"`
-	TraceMemEntries int   `json:"trace_mem_entries"`
-	TraceTrips      int64 `json:"trace_trips"`
 }
 
 // distHealth is the coordinator-role section of /healthz: the worker
@@ -434,13 +432,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		st.CacheMemEntries = c.MemEntries()
 		st.CacheTrips = c.Breaker().Trips()
 	}
-	if t := s.cfg.Engine.Traces; t != nil {
-		st.TraceDegraded = t.Degraded()
-		st.TraceMemEntries = t.MemEntries()
-		st.TraceTrips = t.Breaker().Trips()
-	}
 	status := "ok"
-	if st.CacheDegraded || st.TraceDegraded {
+	if st.CacheDegraded {
 		// The daemon still serves correct results (memory-only), but an
 		// operator should look at the disk.
 		status = "degraded"

@@ -25,10 +25,7 @@ func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Serve
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces, err := sim.OpenTraceStore("", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := sim.NewTraceStore(0)
 	eng := &sim.Engine{Cache: cache, Traces: traces}
 	cfg := Config{Engine: eng, DefaultInsts: testInsts}
 	if mutate != nil {

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/storage"
-	"repro/internal/workload"
 )
 
 var (
@@ -90,8 +89,8 @@ func assertNoTmpOrphans(t *testing.T, label string, dirs ...string) {
 // property: a matrix sweep run over a fault-injecting filesystem either
 // matches the fault-free baseline exactly (in the completed cells) or
 // fails with a clean error — and after the disk heals, a fresh engine
-// over the surviving directories reproduces the baseline in full, proving
-// no fault schedule can poison the persisted state.
+// over the surviving cache directory reproduces the baseline in full,
+// proving no fault schedule can poison the persisted state.
 func TestChaosMatrixByteIdenticalUnderFaultSchedules(t *testing.T) {
 	baseline := chaosBaseline(t)
 	schedules := []struct {
@@ -111,46 +110,35 @@ func TestChaosMatrixByteIdenticalUnderFaultSchedules(t *testing.T) {
 		sched := sched
 		t.Run(sched.name, func(t *testing.T) {
 			cacheDir := filepath.Join(t.TempDir(), "cache")
-			traceDir := filepath.Join(t.TempDir(), "traces")
 			cfs := storage.NewFaultFS(storage.OS{}, sched.faults...)
-			tfs := storage.NewFaultFS(storage.OS{}, sched.faults...)
 			c, err := OpenCacheFS(cacheDir, cfs, nil)
 			if err != nil {
 				t.Fatalf("open under faults must fail cleanly or succeed: %v", err)
 			}
-			ts, err := OpenTraceStoreFS(traceDir, 0, tfs, nil)
-			if err != nil {
-				t.Fatalf("open under faults must fail cleanly or succeed: %v", err)
-			}
-			eng := &Engine{Cache: c, Traces: ts}
+			eng := &Engine{Cache: c}
 			mx, err := RunMatrix(context.Background(), eng, chaosBenches, chaosDepths, chaosModes, chaosBudget)
 			// A fault schedule may surface as a joined per-cell error, but
 			// the cells that did complete must match the baseline exactly,
 			// and no run may strand temp files.
 			assertMatrixMatches(t, sched.name+"/faulted", mx, baseline, err == nil)
-			assertNoTmpOrphans(t, sched.name+"/faulted", cacheDir, traceDir)
+			assertNoTmpOrphans(t, sched.name+"/faulted", cacheDir)
 
 			// Heal the disk: whatever the faulted run persisted (including
 			// torn and half-written files) must self-heal, never serve wrong
-			// results. A fresh engine over the same directories is the
-			// "next process" reading the survivors.
+			// results. A fresh engine over the same directory is the "next
+			// process" reading the survivors.
 			cfs.Heal()
-			tfs.Heal()
 			c2, err := OpenCacheFS(cacheDir, storage.OS{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts2, err := OpenTraceStoreFS(traceDir, 0, storage.OS{}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			warm := &Engine{Cache: c2, Traces: ts2}
+			warm := &Engine{Cache: c2}
 			mx2, err := RunMatrix(context.Background(), warm, chaosBenches, chaosDepths, chaosModes, chaosBudget)
 			if err != nil {
 				t.Fatalf("healed run failed: %v", err)
 			}
 			assertMatrixMatches(t, sched.name+"/healed", mx2, baseline, true)
-			assertNoTmpOrphans(t, sched.name+"/healed", cacheDir, traceDir)
+			assertNoTmpOrphans(t, sched.name+"/healed", cacheDir)
 		})
 	}
 }
@@ -185,41 +173,6 @@ func TestChaosTmpCleanupAndRetryAfterRenameFault(t *testing.T) {
 		}
 		if got, ok := c2.Get(cacheSpec); !ok || got != st {
 			t.Fatalf("retried put not persisted: %+v, %v", got, ok)
-		}
-	})
-	t.Run("tracestore", func(t *testing.T) {
-		dir := filepath.Join(t.TempDir(), "traces")
-		ffs := storage.NewFaultFS(storage.OS{}, storage.Fault{Op: storage.OpRename, N: 1, Mode: storage.FaultErr})
-		s, err := OpenTraceStoreFS(dir, 0, ffs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := workload.ByName("li").Prog
-		dec, err := s.Get(context.Background(), b, 500)
-		if err != nil {
-			t.Fatalf("persist failure must not fail the Get: %v", err)
-		}
-		if dec.Len() != 500 || s.PersistErrs() != 1 {
-			t.Fatalf("len = %d, persistErrs = %d", dec.Len(), s.PersistErrs())
-		}
-		assertNoTmpOrphans(t, "after failed persist", dir)
-		// A fresh store re-records and the persist retry succeeds.
-		s2, err := OpenTraceStoreFS(dir, 0, ffs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s2.Get(context.Background(), b, 500); err != nil {
-			t.Fatal(err)
-		}
-		if s2.PersistErrs() != 0 || s2.Recorded() != 1 {
-			t.Errorf("retry: persistErrs = %d, recorded = %d", s2.PersistErrs(), s2.Recorded())
-		}
-		s3, err := OpenTraceStoreFS(dir, 0, storage.OS{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s3.Get(context.Background(), b, 500); err != nil || s3.DiskHits() != 1 {
-			t.Errorf("healed file not served from disk: %v (diskHits %d)", err, s3.DiskHits())
 		}
 	})
 }
@@ -339,101 +292,6 @@ func TestChaosCacheFlushesParkedEntryWithoutTrip(t *testing.T) {
 			t.Errorf("fresh cache: %+v, %v; want %+v", got, ok, tc.want)
 		}
 	}
-}
-
-// TestChaosTraceStoreDegradedModeRecovers drives the trace store's
-// breaker open on a write-broken disk and verifies it stops touching the
-// disk entirely until a post-probation probe succeeds.
-func TestChaosTraceStoreDegradedModeRecovers(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "traces")
-	ffs := storage.NewFaultFS(storage.OS{})
-	now := time.Unix(1000, 0)
-	brk := storage.NewBreaker(3, time.Minute)
-	brk.Clock = func() time.Time { return now }
-	s, err := OpenTraceStoreFS(dir, 0, ffs, brk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ffs.Break()
-	b := workload.ByName("li").Prog
-	for i := 1; i <= 3; i++ {
-		if _, err := s.Get(context.Background(), b, int64(500+i)); err != nil {
-			t.Fatalf("get %d: persist failures must stay non-fatal: %v", i, err)
-		}
-	}
-	if !s.Degraded() || s.PersistErrs() != 3 {
-		t.Fatalf("degraded = %v, persistErrs = %d", s.Degraded(), s.PersistErrs())
-	}
-	ops := ffs.Count(storage.OpRead) + ffs.Count(storage.OpWrite)
-	if _, err := s.Get(context.Background(), b, 600); err != nil {
-		t.Fatal(err)
-	}
-	if got := ffs.Count(storage.OpRead) + ffs.Count(storage.OpWrite); got != ops {
-		t.Error("degraded store touched the disk inside the probation window")
-	}
-
-	ffs.Heal()
-	now = now.Add(2 * time.Minute)
-	if _, err := s.Get(context.Background(), b, 700); err != nil {
-		t.Fatal(err)
-	}
-	if s.Degraded() {
-		t.Fatal("breaker still open after a successful probe")
-	}
-	// The probe's trace really landed: a fresh store disk-hits it.
-	s2, err := OpenTraceStoreFS(dir, 0, storage.OS{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.Get(context.Background(), b, 700); err != nil || s2.DiskHits() != 1 {
-		t.Errorf("probe trace unreadable: %v (diskHits %d)", err, s2.DiskHits())
-	}
-	assertNoTmpOrphans(t, "degraded tracestore", dir)
-}
-
-// TestChaosTraceStoreWritesBackAfterRecovery pins the trace store's
-// degraded-mode write-back: a trace recorded while the disk refuses
-// writes parks in the tier's overlay, the first successful probe after
-// the disk heals flushes it, and a fresh store then reads it from disk
-// instead of running the VM.
-func TestChaosTraceStoreWritesBackAfterRecovery(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "traces")
-	ffs := storage.NewFaultFS(storage.OS{})
-	now := time.Unix(1000, 0)
-	brk := storage.NewBreaker(1, time.Minute)
-	brk.Clock = func() time.Time { return now }
-	s, err := OpenTraceStoreFS(dir, 0, ffs, brk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ffs.Break()
-	b := workload.ByName("li").Prog
-	if _, err := s.Get(context.Background(), b, 500); err != nil {
-		t.Fatalf("persist failures must stay non-fatal: %v", err)
-	}
-	if !s.Degraded() || s.MemEntries() != 1 {
-		t.Fatalf("degraded = %v, parked traces = %d; want true, 1", s.Degraded(), s.MemEntries())
-	}
-
-	ffs.Heal()
-	now = now.Add(2 * time.Minute)
-	if _, err := s.Get(context.Background(), b, 600); err != nil {
-		t.Fatal(err)
-	}
-	if s.Degraded() || s.MemEntries() != 0 {
-		t.Fatalf("after the probe: degraded = %v, parked traces = %d; want false, 0", s.Degraded(), s.MemEntries())
-	}
-	fresh, err := OpenTraceStoreFS(dir, 0, storage.OS{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fresh.Get(context.Background(), b, 500); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.DiskHits() != 1 || fresh.Recorded() != 0 {
-		t.Errorf("parked trace not written back: diskHits %d, recorded %d; want 1, 0", fresh.DiskHits(), fresh.Recorded())
-	}
-	assertNoTmpOrphans(t, "trace write-back", dir)
 }
 
 // TestChaosDegradedEngineEndToEnd is the acceptance scenario: the cache
@@ -566,9 +424,5 @@ func TestChaosOpenFailuresAreClean(t *testing.T) {
 	ffs := storage.NewFaultFS(storage.OS{}, storage.Fault{Op: storage.OpMkdir, N: 1, Mode: storage.FaultErr})
 	if _, err := OpenCacheFS(filepath.Join(t.TempDir(), "c"), ffs, nil); !errors.Is(err, storage.ErrInjected) {
 		t.Errorf("cache open error = %v, want ErrInjected", err)
-	}
-	ffs2 := storage.NewFaultFS(storage.OS{}, storage.Fault{Op: storage.OpMkdir, N: 1, Mode: storage.FaultErr})
-	if _, err := OpenTraceStoreFS(filepath.Join(t.TempDir(), "t"), 0, ffs2, nil); !errors.Is(err, storage.ErrInjected) {
-		t.Errorf("trace store open error = %v, want ErrInjected", err)
 	}
 }

@@ -31,8 +31,8 @@
 //
 //   - Spec / Engine.Run / RunMatrix — the Section 5 branch-prediction
 //     cells and grids. Every cell replays its benchmark's trace from the
-//     engine's trace store (Engine.Traces, or a private memory-only one),
-//     so each benchmark runs on the functional VM once per store;
+//     engine's trace store (Engine.Traces, or a private one), so each
+//     benchmark runs on the functional VM once per store;
 //     cpu.Run's live-VM run is the reference the tests hold replay to.
 //     MatrixSpecs enumerates a grid's cells, Matrix holds a (possibly
 //     partial) grid and Fig5a/Fig5b/Fig6Accuracy/Fig6IPC/Table2/Table4
@@ -57,17 +57,21 @@
 //     record's scalar fields, headed by their JSON names.
 //   - ForEach — the bounded worker pool the engine and the dist
 //     coordinator share.
-//   - OpenCache / OpenTraceStore — the two stores (per-cell results;
-//     record-once/replay-many traces), shared by every front end:
-//     cmd/experiments, cmd/arvisim and the HTTP service (internal/server
-//     via cmd/arvid). Both are key derivation plus a codec over one
-//     storage.Tier, which owns the disk-fault protocol (circuit breaker,
-//     degraded-mode overlay and flush), self-healing and the cache peers.
-//     Cache.Local is the cache without its peers, through which the dist
-//     coordinator answers jobs it already holds and keeps worker
-//     answers; a study's Record builds its grid cell for both the engine
-//     and the coordinator.
+//   - OpenCache / NewTraceStore — the two stores, shared by every front
+//     end: cmd/experiments, cmd/arvisim and the HTTP service
+//     (internal/server via cmd/arvid). The result cache persists per-cell
+//     results as key derivation plus a codec over a storage.Tier, which
+//     owns the disk-fault protocol (circuit breaker, degraded-mode
+//     overlay and flush), self-healing and the cache peers. Cache.Local
+//     is the cache without its peers, through which the dist coordinator
+//     answers jobs it already holds and keeps worker answers; a study's
+//     Record builds its grid cell for both the engine and the
+//     coordinator. The trace store is memory-only: it records a
+//     program's trace on first use, under a per-key singleflight, and
+//     keeps the decoded traces in an LRU.
 //   - ParseMode / ValidateSpec and friends (validate.go) — the shared
 //     user-input rules, so every front end rejects a bad value with the
-//     same message (ValidateBaseURL covers worker and peer URLs).
+//     same message (ValidateBaseURL covers worker and peer URLs,
+//     ValidateNonNegative the count and duration flags whose 0 means a
+//     default).
 package sim

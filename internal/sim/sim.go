@@ -65,7 +65,7 @@ type Result struct {
 // Engine runs batches of specs on a bounded worker pool, optionally backed
 // by a persistent result cache, replaying every cell from a
 // record-once/replay-many trace store. The zero value is usable:
-// GOMAXPROCS workers, no cache, a private memory-only trace store.
+// GOMAXPROCS workers, no cache, a private trace store.
 type Engine struct {
 	// Workers bounds concurrent simulations (and goroutine spawn);
 	// <= 0 means GOMAXPROCS.
@@ -79,7 +79,7 @@ type Engine struct {
 	// identical to live-VM statistics (the determinism contract the
 	// result cache already relies on; see
 	// TestTraceStoreMatchesLiveSimulation). When nil, the engine records
-	// into a private memory-only store opened on first use.
+	// into a private store opened on first use.
 	Traces *TraceStore
 
 	// ownTraces is the private store traces opens when Traces is nil.
@@ -260,12 +260,12 @@ func (c *specCells) simulate(ctx context.Context, e *Engine, i int) (err error) 
 func (c *specCells) name(i int) string { return c.results[i].Spec.String() }
 
 // traces returns the store the engine replays from: Traces, or else its
-// private memory-only store.
+// private store.
 func (e *Engine) traces() *TraceStore {
 	if e.Traces != nil {
 		return e.Traces
 	}
-	e.ownTracesOnce.Do(func() { e.ownTraces = memTraceStore(0, nil) })
+	e.ownTracesOnce.Do(func() { e.ownTraces = NewTraceStore(0) })
 	return e.ownTraces
 }
 

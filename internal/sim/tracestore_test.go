@@ -2,13 +2,13 @@ package sim
 
 import (
 	"context"
-
-	"os"
+	"errors"
 	"sync"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/cpu"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -42,20 +42,11 @@ loop:
     halt
 `
 
-func memStore(t *testing.T, budget int64) *TraceStore {
-	t.Helper()
-	s, err := OpenTraceStore("", budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 // TestTraceStoreMatchesLiveSimulation is the determinism contract of the
 // whole trace tier: for every workload, simulating through a recorded
 // trace must produce statistics identical to a live functional-VM run.
 func TestTraceStoreMatchesLiveSimulation(t *testing.T) {
-	store := memStore(t, 0)
+	store := NewTraceStore(0)
 	eng := &Engine{Traces: store}
 	const budget = 4000
 	for _, name := range workload.Names {
@@ -88,7 +79,7 @@ func TestRunMatrixExecutesEachBenchmarkOnce(t *testing.T) {
 		name string
 		eng  *Engine
 	}{
-		{"given store", &Engine{Traces: memStore(t, 0)}},
+		{"given store", &Engine{Traces: NewTraceStore(0)}},
 		{"zero value", &Engine{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -120,7 +111,7 @@ func TestRunMatrixExecutesEachBenchmarkOnce(t *testing.T) {
 }
 
 func TestTraceStoreSingleflight(t *testing.T) {
-	store := memStore(t, 0)
+	store := NewTraceStore(0)
 	p := asm.MustAssemble("sf", storeLoopSrc)
 	const waiters = 8
 	var wg sync.WaitGroup
@@ -142,8 +133,44 @@ func TestTraceStoreSingleflight(t *testing.T) {
 	}
 }
 
+// TestTraceStoreWaiterHonoursCancel pins the wait of a Get coalesced onto
+// an in-flight recording: it gives up on its own context without counting
+// a hit or recording, and once the recording is published a Get with a
+// live context returns it as a memory hit.
+func TestTraceStoreWaiterHonoursCancel(t *testing.T) {
+	store := NewTraceStore(0)
+	p := workload.ByName("li").Prog
+	const budget = 500
+	// An in-flight recording, as the first Get for the key registers it.
+	e := &traceEntry{ready: make(chan struct{})}
+	store.entries[traceKey{fp: p.FingerprintHex(), budget: budget}] = e
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := store.Get(ctx, p, budget); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled waiter: err = %v, want context.Canceled", err)
+	}
+	if store.Recorded() != 0 || store.MemHits() != 0 {
+		t.Fatalf("canceled waiter: recorded = %d, memHits = %d; want 0, 0", store.Recorded(), store.MemHits())
+	}
+
+	dec, err := trace.RecordAll(p, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.dec = dec
+	close(e.ready)
+	got, err := store.Get(context.Background(), p, budget)
+	if err != nil || got != dec {
+		t.Fatalf("after publishing: got %p, err %v; want the published trace %p", got, err, dec)
+	}
+	if store.Recorded() != 0 || store.MemHits() != 1 {
+		t.Errorf("after publishing: recorded = %d, memHits = %d; want 0, 1", store.Recorded(), store.MemHits())
+	}
+}
+
 func TestTraceStoreKeyedByBudgetAndProgram(t *testing.T) {
-	store := memStore(t, 0)
+	store := NewTraceStore(0)
 	a := asm.MustAssemble("a", storeLoopSrc)
 	b := asm.MustAssemble("b", storeLoop2Src)
 	da, err := store.Get(context.Background(), a, 1000)
@@ -185,7 +212,7 @@ func TestTraceStoreKeyedByBudgetAndProgram(t *testing.T) {
 
 func TestTraceStoreLRUEviction(t *testing.T) {
 	// Budget fits one 1000-event trace but not two.
-	store := memStore(t, 40_000)
+	store := NewTraceStore(40_000)
 	a := asm.MustAssemble("a", storeLoopSrc)
 	b := asm.MustAssemble("b", storeLoop2Src)
 	da, err := store.Get(context.Background(), a, 1000)
@@ -205,95 +232,12 @@ func TestTraceStoreLRUEviction(t *testing.T) {
 	if da.Len() != 1000 {
 		t.Errorf("evicted trace lost events: %d", da.Len())
 	}
-	// Re-requesting the evicted program re-records (memory-only store).
+	// Re-requesting the evicted program re-records.
 	if _, err := store.Get(context.Background(), a, 1000); err != nil {
 		t.Fatal(err)
 	}
 	if store.Recorded() != 3 {
 		t.Errorf("recorded = %d, want 3 (a, b, a-again)", store.Recorded())
-	}
-}
-
-func TestTraceStoreDiskPersistence(t *testing.T) {
-	dir := t.TempDir()
-	p := asm.MustAssemble("disk", storeLoopSrc)
-
-	s1, err := OpenTraceStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, err := s1.Get(context.Background(), p, 1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.Recorded() != 1 || s1.PersistErrs() != 0 {
-		t.Fatalf("recorded = %d, persistErrs = %d", s1.Recorded(), s1.PersistErrs())
-	}
-	if _, err := os.Stat(s1.Path(p, 1500)); err != nil {
-		t.Fatalf("trace file not persisted: %v", err)
-	}
-
-	// A fresh store (fresh process) loads from disk without running the VM.
-	s2, err := OpenTraceStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := s2.Get(context.Background(), p, 1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Recorded() != 0 || s2.DiskHits() != 1 {
-		t.Errorf("recorded = %d, diskHits = %d; want 0, 1", s2.Recorded(), s2.DiskHits())
-	}
-	if d1.Len() != d2.Len() {
-		t.Errorf("disk round trip changed length: %d != %d", d1.Len(), d2.Len())
-	}
-}
-
-func TestTraceStoreSelfHealsCorruptFile(t *testing.T) {
-	dir := t.TempDir()
-	p := asm.MustAssemble("heal", storeLoopSrc)
-	s, err := OpenTraceStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.Path(p, 1000), []byte("not a trace"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := s.Get(context.Background(), p, 1000)
-	if err != nil {
-		t.Fatalf("corrupt file not healed: %v", err)
-	}
-	if dec.Len() != 1000 || s.Recorded() != 1 {
-		t.Errorf("len = %d, recorded = %d", dec.Len(), s.Recorded())
-	}
-	// The healed file now round-trips.
-	s2, _ := OpenTraceStore(dir, 0)
-	if _, err := s2.Get(context.Background(), p, 1000); err != nil || s2.DiskHits() != 1 {
-		t.Errorf("healed file unreadable: %v (diskHits %d)", err, s2.DiskHits())
-	}
-
-	// Corrupt the count field of the (valid) persisted file: the store
-	// must also re-record through that, not crash or serve a short trace.
-	path := s2.Path(p, 1000)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		raw[32+8+32+i] = 0xff // count field sits after store sum+magic+fingerprint
-	}
-	raw[32+8+32] = 0xfe // not the unknown-count sentinel
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s3, _ := OpenTraceStore(dir, 0)
-	dec3, err := s3.Get(context.Background(), p, 1000)
-	if err != nil {
-		t.Fatalf("corrupt count not healed: %v", err)
-	}
-	if dec3.Len() != 1000 || s3.Recorded() != 1 {
-		t.Errorf("after count corruption: len = %d, recorded = %d", dec3.Len(), s3.Recorded())
 	}
 }
 
@@ -306,7 +250,7 @@ func TestEngineWithCacheAndTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := memStore(t, 0)
+	store := NewTraceStore(0)
 	modes := []cpu.PredMode{cpu.PredBaseline2Lvl, cpu.PredARVICurrent, cpu.PredARVIPerfect}
 
 	e1 := &Engine{Cache: c, Traces: store}
@@ -317,7 +261,7 @@ func TestEngineWithCacheAndTraces(t *testing.T) {
 		t.Errorf("cold run: recorded = %d, simulated = %d", store.Recorded(), e1.Simulated())
 	}
 
-	e2 := &Engine{Cache: c, Traces: memStore(t, 0)}
+	e2 := &Engine{Cache: c, Traces: NewTraceStore(0)}
 	if _, err := RunMatrix(context.Background(), e2, []string{"compress"}, []int{20}, modes, 2500); err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +272,7 @@ func TestEngineWithCacheAndTraces(t *testing.T) {
 }
 
 func TestTraceStoreUnknownBenchStillErrors(t *testing.T) {
-	eng := &Engine{Traces: memStore(t, 0)}
+	eng := &Engine{Traces: NewTraceStore(0)}
 	if _, err := eng.simulate(context.Background(), Spec{Bench: "nosuch", Depth: 20}); err == nil {
 		t.Error("unknown benchmark must error through the trace path too")
 	}

@@ -137,6 +137,18 @@ func ValidateTraceMem(mib int64) error {
 	return nil
 }
 
+// ValidateNonNegative rejects a negative value for a count or duration
+// flag whose 0 selects a default (-workers, -max-inflight, the dist
+// retry knobs) or turns a limit off (-request-timeout). Their consumers
+// read any value <= 0 as that 0, so a negative one would silently become
+// it.
+func ValidateNonNegative[T ~int | ~int64](flag string, v T) error {
+	if v < 0 {
+		return fmt.Errorf("%s %v out of range (need >= 0)", flag, v)
+	}
+	return nil
+}
+
 // ValidateDepThreshold rejects a non-positive criticality cut: threshold
 // 0 would make the "selective" value-prediction cells identical to the
 // all-instructions cells, silently collapsing the ablation.

@@ -5,12 +5,12 @@ import (
 	"time"
 )
 
-// Circuit-breaker defaults shared by the result cache and the trace
-// store. Three consecutive faults on a local filesystem is already a
-// strong signal of a broken disk (transient errors on local disks are
-// rare; the caches retry across requests anyway), and a five-second
-// probation keeps a broken disk from adding failed-syscall latency to
-// every request while still recovering promptly once it heals.
+// Circuit-breaker defaults of the result cache's tier. Three consecutive
+// faults on a local filesystem is already a strong signal of a broken
+// disk (transient errors on local disks are rare; the caches retry
+// across requests anyway), and a five-second probation keeps a broken
+// disk from adding failed-syscall latency to every request while still
+// recovering promptly once it heals.
 const (
 	DefaultBreakThreshold = 3
 	DefaultProbation      = 5 * time.Second

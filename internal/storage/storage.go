@@ -1,9 +1,7 @@
-// Package storage is the persistence layer under the simulation stores
-// (internal/sim's result Cache and TraceStore). Both run on one Tier, so
-// the disk-fault protocol exists once: injecting disk faults
-// deterministically in tests, and degrading to memory-only operation
-// when a real disk misbehaves, cover both stores through one
-// implementation.
+// Package storage is the persistence layer under internal/sim's result
+// Cache. The cache runs on one Tier, which owns the disk-fault protocol:
+// injecting disk faults deterministically in tests, and degrading to
+// memory-only operation when a real disk misbehaves.
 //
 // The package has five parts:
 //

@@ -9,12 +9,11 @@ import (
 	"sync/atomic"
 )
 
-// Tier is the one persistence tier under both simulation stores (the
-// result cache and the trace store): a directory of files, one per key,
-// behind a circuit breaker, with a memory overlay for the writes the disk
-// refused and an optional peer tier consulted on local misses. The
-// payload format, and any integrity check on it, belongs to the caller's
-// codec; the tier only moves bytes.
+// Tier is the persistence tier under the result cache: a directory of
+// files, one per key, behind a circuit breaker, with a memory overlay for
+// the writes the disk refused and an optional peer tier consulted on
+// local misses. The payload format, and any integrity check on it,
+// belongs to the caller's codec; the tier only moves bytes.
 //
 //   - Files. Key k lives in dir/k+ext, written atomically (temp file +
 //     rename) so a crash mid-write leaves the old file or none, never a

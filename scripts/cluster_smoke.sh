@@ -40,12 +40,12 @@ wait_healthy() { # wait_healthy <port>
     return 1
 }
 
-start solo -addr 127.0.0.1:8750 -cache "$tmp/solo-cache" -trace-dir "$tmp/solo-traces"
-start w1 -role worker -addr 127.0.0.1:8751 -cache "$tmp/w1-cache" -trace-dir "$tmp/w1-traces"
-start w2 -role worker -addr 127.0.0.1:8752 -cache "$tmp/w2-cache" -trace-dir "$tmp/w2-traces"
+start solo -addr 127.0.0.1:8750 -cache "$tmp/solo-cache"
+start w1 -role worker -addr 127.0.0.1:8751 -cache "$tmp/w1-cache"
+start w2 -role worker -addr 127.0.0.1:8752 -cache "$tmp/w2-cache"
 start coord -role coordinator -addr 127.0.0.1:8753 \
     -workers-list http://127.0.0.1:8751,http://127.0.0.1:8752 \
-    -cache "$tmp/coord-cache" -trace-dir "$tmp/coord-traces"
+    -cache "$tmp/coord-cache"
 for port in 8750 8751 8752 8753; do
     wait_healthy "$port"
 done

@@ -3,8 +3,9 @@
 # after a simulated crash, and assert every file each run writes (the
 # text tables, the -csv and the -json export) is byte-identical to the
 # cold run's, for the default run and the two Section 3 studies
-# (-only smt, -only vpred). A warm run must also simulate nothing, and
-# the resumed default run must replay persisted traces, not run the VM.
+# (-only smt, -only vpred). A warm run must also simulate nothing, and no
+# run may execute the VM more than once per benchmark (at most 8 "VM
+# runs": traces live in memory, one recording per benchmark per process).
 # The cold default run must simulate each of its 180 cells once. Last,
 # it starts arvid on a free loopback port and asserts that every
 # GET /v1/artifacts/{name} body is the `experiments -only {name} -out`
@@ -25,7 +26,7 @@ go build -o "$tmp/arvid" ./cmd/arvid
 
 run() { # run <name> <pass> <only>
     "$tmp/experiments" -n 2000 -only "$3" \
-        -cache "$tmp/$1-cache" -trace-dir "$tmp/$1-traces" \
+        -cache "$tmp/$1-cache" \
         -out "$tmp/$1-$2.txt" -csv "$tmp/$1-$2.csv" -json "$tmp/$1-$2.json" \
         2> "$tmp/$1-$2.log"
 }
@@ -34,6 +35,15 @@ same() { # same <name> <pass>: the pass wrote the cold run's bytes
     for ext in txt csv json; do
         cmp "$tmp/$1-cold.$ext" "$tmp/$1-$2.$ext"
     done
+}
+
+recorded_once() { # recorded_once <name> <pass>: at most one VM run per benchmark
+    vm=$(sed -n 's/.*traces: \([0-9][0-9]*\) VM runs.*/\1/p' "$tmp/$1-$2.log")
+    if [ -z "$vm" ] || [ "$vm" -gt 8 ]; then
+        echo "experiments_smoke: $2 $1 run logged ${vm:-no} VM runs, want at most 8" >&2
+        cat "$tmp/$1-$2.log" >&2
+        exit 1
+    fi
 }
 
 for only in "" smt vpred; do
@@ -56,14 +66,9 @@ for only in "" smt vpred; do
         echo "experiments_smoke: resumed $name run did not re-simulate the lost cells" >&2
         exit 1
     fi
-    # The resumed default run re-simulates from the traces the cold run
-    # persisted: no VM run, and at least one trace read from disk.
-    if [ "$name" = default ] &&
-        ! grep -Eq 'traces: 0 VM runs, [0-9]+ memory hits, [1-9][0-9]* disk hits' "$tmp/$name-resumed.log"; then
-        echo "experiments_smoke: resumed $name run did not reuse the persisted traces" >&2
-        cat "$tmp/$name-resumed.log" >&2
-        exit 1
-    fi
+    for pass in cold warm resumed; do
+        recorded_once "$name" "$pass"
+    done
     echo "experiments_smoke: $name cold, warm and resumed runs byte-identical"
 done
 
@@ -88,7 +93,7 @@ while [ -z "$up" ] && [ "$tries" -lt 20 ]; do
         continue
     fi
     "$tmp/arvid" -addr "127.0.0.1:$port" -cache "$tmp/arvid-cache" \
-        -trace-dir "$tmp/arvid-traces" 2> "$tmp/arvid.log" &
+        2> "$tmp/arvid.log" &
     pid=$!
     i=0
     while [ "$i" -lt 50 ] && kill -0 "$pid" 2> /dev/null; do
@@ -111,7 +116,7 @@ if [ -z "$up" ]; then
 fi
 for name in table2 table4 fig5a fig5b fig6 sweep-conf sweep-cut; do
     "$tmp/experiments" -n 2000 -only "$name" -cache "$tmp/art-cache" \
-        -trace-dir "$tmp/art-traces" -out "$tmp/$name-cli.txt" 2> /dev/null
+        -out "$tmp/$name-cli.txt" 2> /dev/null
     curl -sf "http://127.0.0.1:$port/v1/artifacts/$name?n=2000" > "$tmp/$name-http.txt"
     cmp "$tmp/$name-cli.txt" "$tmp/$name-http.txt"
 done
