@@ -36,7 +36,8 @@
 // no query or fragment (exit status 2 otherwise). -cache-peers
 // lets any daemon with a -cache serve local cache misses from its peers'
 // caches over GET/PUT /v1/cache/{key}; -cache-push needs -cache-peers.
-// A negative count or duration flag is a usage error too.
+// -workers-list and the -dist-* flags apply only to -role coordinator. A
+// negative count or duration flag is a usage error too.
 //
 //	curl localhost:8744/healthz
 //	curl localhost:8744/v1/bench
@@ -104,8 +105,15 @@ func main() {
 	if *role != "solo" && *role != "worker" && *role != "coordinator" {
 		usage(fmt.Errorf("-role %q out of range (need solo, worker or coordinator)", *role))
 	}
-	if *role != "coordinator" && *workersList != "" {
-		usage(errors.New("-workers-list only applies to -role coordinator"))
+	if *role != "coordinator" {
+		// Only a coordinator reads these; flag.Visit sees the flags set
+		// on the command line, even to their defaults.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "workers-list", "dist-retries", "dist-backoff", "dist-timeout":
+				usage(fmt.Errorf("-%s only applies to -role coordinator", f.Name))
+			}
+		})
 	}
 	// The base-URL rule (and its message) is POST /v1/workers' too; see
 	// internal/sim/validate.go.

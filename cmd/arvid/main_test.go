@@ -32,9 +32,10 @@ func TestMain(m *testing.M) {
 // host, no query or fragment); -trace-mem must be a budget the trace
 // store can honour, and a count or duration flag must not be negative,
 // rather than be silently read as its default. Peers need a result cache
-// to fill, and -cache-push needs peers. Each run has a deadline, so a
-// value that is wrongly accepted fails the case instead of hanging the
-// test on a serving daemon.
+// to fill, -cache-push needs peers, and the -dist-* retry knobs need
+// -role coordinator, the only role that reads them. Each run has a
+// deadline, so a value that is wrongly accepted fails the case instead of
+// hanging the test on a serving daemon.
 func TestUsageFlagsRejected(t *testing.T) {
 	tooBig := strconv.FormatInt(math.MaxInt64>>20+1, 10)
 	cases := []struct {
@@ -57,6 +58,9 @@ func TestUsageFlagsRejected(t *testing.T) {
 		{[]string{"-cache-peers", "http://127.0.0.1:8751"}, errors.New("-cache-peers only applies with a result cache (-cache)")},
 		{[]string{"-cache-peers", "http://127.0.0.1:8751", "-cache-push"}, errors.New("-cache-peers only applies with a result cache (-cache)")},
 		{[]string{"-cache-push"}, errors.New("-cache-push only applies with -cache-peers")},
+		{[]string{"-dist-retries", "3"}, errors.New("-dist-retries only applies to -role coordinator")},
+		{[]string{"-role", "worker", "-dist-backoff", "1s"}, errors.New("-dist-backoff only applies to -role coordinator")},
+		{[]string{"-dist-timeout", "5s"}, errors.New("-dist-timeout only applies to -role coordinator")},
 	}
 	for _, tc := range cases {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)

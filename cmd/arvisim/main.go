@@ -12,11 +12,15 @@
 //
 // A run records the benchmark's trace in memory and replays it through
 // the timing model. -n must be at least 1 (exit status 2 otherwise).
+// -record writes the trace with its exact record count to any file or
+// pipe and reports on stderr; -replay loads and checks the whole file
+// (its program, its count, every record) before the timing run starts.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -53,30 +57,26 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
-	if err := sim.ValidateBench(*bench); err != nil {
-		usage(err)
-	}
-	if err := sim.ValidateDepth(*depth); err != nil {
-		usage(err)
-	}
-	if err := sim.ValidateBudget(*n); err != nil {
-		usage(err)
-	}
-	b, _ := workload.Lookup(*bench)
-	if err := sim.ValidateConfThreshold(*confTh); err != nil {
+	for _, err := range []error{
+		sim.ValidateBench(*bench),
+		sim.ValidateDepth(*depth),
+		sim.ValidateBudget(*n),
 		// The JRS counters are 4-bit: a larger threshold could never be
 		// reached and would silently veto every ARVI override.
-		usage(err)
+		sim.ValidateConfThreshold(*confTh),
+	} {
+		if err != nil {
+			usage(err)
+		}
 	}
+	b, _ := workload.Lookup(*bench)
 	if *record != "" && *replay != "" {
-		fmt.Fprintln(os.Stderr, "arvisim: -record and -replay are mutually exclusive")
-		os.Exit(2)
+		usage(errors.New("-record and -replay are mutually exclusive"))
 	}
 	if (*record != "" || *replay != "") && *cacheDir != "" {
 		// Standalone trace files bypass the engine, so silently accepting
 		// this would break the "shared with cmd/experiments" promise.
-		fmt.Fprintln(os.Stderr, "arvisim: -record/-replay bypass the engine; -cache does not apply")
-		os.Exit(2)
+		usage(errors.New("-record/-replay bypass the engine; -cache does not apply"))
 	}
 
 	// Profiling starts only after argument validation (a usage error must
@@ -90,18 +90,23 @@ func main() {
 	defer flush()
 
 	if *record != "" {
+		dec, err := trace.RecordAll(b.Prog, *n)
+		if err != nil {
+			fatal(err)
+		}
 		f, err := os.Create(*record)
 		if err != nil {
 			fatal(err)
 		}
-		recorded, err := trace.Record(b.Prog, *n, f)
-		if err != nil {
+		if _, err := dec.WriteTo(f); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("recorded %d events of %s to %s\n", recorded, b.Name, *record)
+		// The status line goes to stderr, so -record /dev/stdout writes
+		// nothing but the trace.
+		fmt.Fprintf(os.Stderr, "recorded %d events of %s to %s\n", dec.Len(), b.Name, *record)
 		return
 	}
 
@@ -118,12 +123,14 @@ func main() {
 	var res sim.Result
 	if *replay != "" {
 		// Replay bypasses the engine: the trace file is the event source
-		// (its header rejects a trace of the wrong program).
+		// (Decode rejects a trace of the wrong program, and any corrupt
+		// record, before the run starts).
 		f, err := os.Open(*replay)
 		if err != nil {
 			fatal(err)
 		}
-		rd, err := trace.NewReader(b.Prog, f)
+		dec, err := trace.Decode(b.Prog, f)
+		_ = f.Close() // read-only replay file
 		if err != nil {
 			fatal(err)
 		}
@@ -131,10 +138,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		src := &haltCheckSource{src: rd}
+		src := &haltCheckSource{src: dec.Cursor()}
 		st, err := eng.RunSourceContext(ctx, b.Prog, src)
-		_ = f.Close() // read-only replay file
-
 		if err != nil {
 			fatal(err)
 		}

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // TestMain lets a test run this binary as arvisim itself: with
@@ -94,5 +96,56 @@ func TestReplayFileMatchesRun(t *testing.T) {
 		if replay != run {
 			t.Errorf("%v: -replay -json differs from -json:\nreplay %s\nrun    %s", spec, replay, run)
 		}
+	}
+}
+
+// TestRecordToPipe pins -record to a sink that cannot seek: with
+// -record /dev/stdout, whose stdout the test reads through a pipe,
+// arvisim exits 0 and writes exactly the trace RecordAll and WriteTo
+// make for the same benchmark and budget (so its header carries the
+// exact record count), and its status line goes to stderr.
+func TestRecordToPipe(t *testing.T) {
+	stdout, stderr, status := arvisim(t, "-bench", "li", "-n", "1000", "-record", "/dev/stdout")
+	if status != 0 {
+		t.Fatalf("exit %d, stderr %q", status, stderr)
+	}
+	b, _ := workload.Lookup("li")
+	dec, err := trace.RecordAll(b.Prog, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if _, err := dec.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if stdout != want.String() {
+		t.Errorf("stdout is %d bytes unlike the %d-byte trace RecordAll+WriteTo make", len(stdout), want.Len())
+	}
+	if line := "recorded 1000 events of li to /dev/stdout\n"; stderr != line {
+		t.Errorf("stderr %q, want %q", stderr, line)
+	}
+}
+
+// TestReplayChecksWholeFile pins that -replay validates the whole trace
+// file before it runs, not only the records its budget reaches: a byte
+// of trailing data after records the run would never read is an error.
+func TestReplayChecksWholeFile(t *testing.T) {
+	trc := filepath.Join(t.TempDir(), "t.trc")
+	if _, stderr, status := arvisim(t, "-bench", "li", "-n", "2000", "-record", trc); status != 0 {
+		t.Fatalf("-record: exit %d, stderr %q", status, stderr)
+	}
+	f, err := os.OpenFile(trc, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0xAB}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, status := arvisim(t, "-bench", "li", "-n", "1000", "-replay", trc, "-json")
+	if want := "arvisim: trace: trailing data after 2000 declared records\n"; status != 1 || stderr != want {
+		t.Errorf("exit %d, stderr %q; want exit 1, stderr %q", status, stderr, want)
 	}
 }

@@ -9,17 +9,25 @@
 //	asmrun -time -depth 40 prog.s # run through the timing model
 //	asmrun -o prog.bin prog.s     # save the assembled program image
 //	asmrun -trace prog.trc prog.s # record the dynamic trace
+//
+// -mode takes the names every other front end takes (baseline or
+// 2lvl-2bc-gskew, arvi-current, arvi-loadback, arvi-perfect). An unknown
+// mode, a -depth below 1 or a negative -n (0 runs to halt) exits with
+// status 2 before anything is assembled. -trace writes the trace with its
+// exact record count, to a file or a pipe alike.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/asm"
 	"repro/internal/cpu"
 	"repro/internal/isa"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
@@ -34,6 +42,17 @@ func main() {
 	regs := flag.Bool("regs", false, "dump architectural registers after a functional run")
 	flag.Parse()
 
+	// The validation rules (and their message text) are shared with the
+	// other front ends; see internal/sim/validate.go.
+	md, err := sim.ParseMode(*mode)
+	if err != nil {
+		usage(err)
+	}
+	for _, err := range []error{sim.ValidateDepth(*depth), sim.ValidateNonNegative("-n", *n)} {
+		if err != nil {
+			usage(err)
+		}
+	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: asmrun [flags] prog.s")
 		os.Exit(2)
@@ -52,44 +71,21 @@ func main() {
 		p.Name, st.Insts, st.DataBytes, p.Entry)
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		if _, err := p.WriteTo(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+		writeFile(*out, p)
 		fmt.Printf("wrote image to %s\n", *out)
 	}
 
 	if *trc != "" {
-		f, err := os.Create(*trc)
+		dec, err := trace.RecordAll(p, *n)
 		if err != nil {
 			fatal(err)
 		}
-		recorded, err := trace.Record(p, *n, f)
-		if err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("recorded %d events to %s\n", recorded, *trc)
+		writeFile(*trc, dec)
+		fmt.Printf("recorded %d events to %s\n", dec.Len(), *trc)
 		return
 	}
 
 	if *timing {
-		modes := map[string]cpu.PredMode{
-			"baseline": cpu.PredBaseline2Lvl, "arvi-current": cpu.PredARVICurrent,
-			"arvi-loadback": cpu.PredARVILoadBack, "arvi-perfect": cpu.PredARVIPerfect,
-		}
-		md, ok := modes[*mode]
-		if !ok {
-			fatal(fmt.Errorf("unknown mode %q", *mode))
-		}
 		cfg := cpu.DefaultConfig(*depth, md)
 		cfg.MaxInsts = *n
 		stats, err := cpu.Run(p, cfg)
@@ -116,7 +112,27 @@ func main() {
 	}
 }
 
+// writeFile writes w's bytes to a new file at path.
+func writeFile(path string, w io.WriterTo) {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if _, err := w.WriteTo(f); err != nil {
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "asmrun:", err)
 	os.Exit(1)
+}
+
+// usage rejects a bad flag value with exit status 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "asmrun:", err)
+	os.Exit(2)
 }

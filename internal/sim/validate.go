@@ -11,13 +11,13 @@ import (
 )
 
 // This file is the single home of the user-input validation rules shared
-// by every front end — cmd/arvisim, cmd/experiments, cmd/arvid's flags
-// and the HTTP service (internal/server). The front ends differ in how a
-// bad value arrives (a flag, a JSON field) and in how the rejection is
-// delivered (exit status 2, a 4xx response), but the rule and the
-// message text must not drift between them: internal/server's tests pin
-// that an HTTP rejection carries exactly the message the CLI prints for
-// the same bad value.
+// by every front end — cmd/arvisim, cmd/experiments, cmd/asmrun,
+// cmd/arvid's flags and the HTTP service (internal/server). The front
+// ends differ in how a bad value arrives (a flag, a JSON field) and in
+// how the rejection is delivered (exit status 2, a 4xx response), but the
+// rule and the message text must not drift between them:
+// internal/server's tests pin that an HTTP rejection carries exactly the
+// message the CLI prints for the same bad value.
 
 // ModeNames lists the accepted predictor-mode names in presentation
 // order: the CLI aliases first. ParseMode additionally accepts each

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"io"
 	"unsafe"
 
@@ -43,11 +42,7 @@ const preallocCap = 4 << 20
 func RecordAll(p *prog.Program, max int64) (*Decoded, error) {
 	d := &Decoded{prog: p}
 	if max > 0 {
-		n := max
-		if n > preallocCap {
-			n = preallocCap
-		}
-		d.recs = make([]rec, 0, n)
+		d.recs = make([]rec, 0, min(max, preallocCap))
 	}
 	machine := vm.New(p)
 	if _, err := machine.Run(max, func(ev *vm.Event) error {
@@ -60,40 +55,6 @@ func RecordAll(p *prog.Program, max int64) (*Decoded, error) {
 		return nil, err
 	}
 	return d, nil
-}
-
-// Decode reads an entire trace into memory; p must be the program the
-// trace was recorded from. Every record is validated once here, so cursor
-// replay needs no per-event checks.
-func Decode(p *prog.Program, r io.Reader) (*Decoded, error) {
-	rd, err := NewReader(p, r)
-	if err != nil {
-		return nil, err
-	}
-	d := &Decoded{prog: p}
-	// Preallocate from the declared count, but never trust it with more
-	// than a modest allocation up front: a count that lies about a short
-	// file must surface as a truncation error from Next, not as an
-	// out-of-memory condition here.
-	if n := rd.Len(); n > 0 {
-		if n > preallocCap {
-			n = preallocCap
-		}
-		d.recs = make([]rec, 0, n)
-	}
-	var ev vm.Event
-	for {
-		if err := rd.Next(&ev); err != nil {
-			if err == io.EOF {
-				return d, nil
-			}
-			return nil, err
-		}
-		d.recs = append(d.recs, rec{
-			addr: ev.Addr, val: ev.Val,
-			pc: uint32(ev.PC), next: uint32(ev.NextPC), taken: ev.Taken,
-		})
-	}
 }
 
 // Len returns the number of recorded events.
@@ -109,33 +70,6 @@ func (d *Decoded) Prog() *prog.Program { return d.prog }
 // MemBytes estimates the resident size of the decoded record store; the
 // trace store's memory budget is accounted in these units.
 func (d *Decoded) MemBytes() int64 { return int64(len(d.recs)) * recBytes }
-
-// WriteTo serialises the trace in the on-disk format. The record count is
-// known up front, so the header carries it even when w is not seekable.
-func (d *Decoded) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if err := writeHeader(bw, d.prog, uint64(len(d.recs))); err != nil {
-		return 0, err
-	}
-	n := int64(headerSize)
-	var buf [recordSize]byte
-	var ev vm.Event
-	for i := range d.recs {
-		r := &d.recs[i]
-		// putRecord only reads the five persisted fields; no need to
-		// materialise the static instruction.
-		ev = vm.Event{
-			PC: int(r.pc), NextPC: int(r.next), Taken: r.taken,
-			Addr: r.addr, Val: r.val,
-		}
-		putRecord(&buf, &ev)
-		if _, err := bw.Write(buf[:]); err != nil {
-			return n, err
-		}
-		n += recordSize
-	}
-	return n, bw.Flush()
-}
 
 // Cursor iterates a Decoded trace as a cpu.EventSource. Cursors are cheap;
 // create one per replaying goroutine.

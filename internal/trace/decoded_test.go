@@ -2,7 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"io"
+	"encoding/binary"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,37 +13,27 @@ import (
 	"repro/internal/workload"
 )
 
+// TestRecordAllMatchesStreamedRecord pins RecordAll's in-memory trace to
+// the event stream a VM run hands its callback: every field a trace keeps,
+// with each event's static instruction recovered from the program text.
 func TestRecordAllMatchesStreamedRecord(t *testing.T) {
 	p := asm.MustAssemble("loop", loopSrc)
 	dec, err := RecordAll(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	n, err := Record(p, 0, &buf)
-	if err != nil {
+	var stream []vm.Event
+	if _, err := vm.New(p).Run(0, func(ev *vm.Event) error {
+		stream = append(stream, vm.Event{
+			Seq: ev.Seq, PC: ev.PC, Inst: ev.Inst, NextPC: ev.NextPC,
+			Taken: ev.Taken, Addr: ev.Addr, Val: ev.Val,
+		})
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if dec.Len() != n {
-		t.Fatalf("decoded %d events, streamed %d", dec.Len(), n)
-	}
-	rd, err := NewReader(p, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := dec.Cursor()
-	var a, b vm.Event
-	for {
-		ea, eb := cur.Next(&a), rd.Next(&b)
-		if ea == io.EOF && eb == io.EOF {
-			break
-		}
-		if ea != nil || eb != nil {
-			t.Fatalf("cursor err %v, reader err %v", ea, eb)
-		}
-		if a != b {
-			t.Fatalf("event mismatch:\ncursor %+v\nreader %+v", a, b)
-		}
+	if got := events(dec); !slices.Equal(got, stream) {
+		t.Fatalf("RecordAll's %d events differ from the VM's %d streamed events", len(got), len(stream))
 	}
 }
 
@@ -57,50 +48,32 @@ func TestDecodedWriteToRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(headerSize) + dec.Len()*recordSize; n != want {
-		t.Errorf("WriteTo wrote %d bytes, want %d", n, want)
+	if want := int64(headerSize) + dec.Len()*recordSize; n != want || int64(buf.Len()) != want {
+		t.Errorf("WriteTo wrote %d bytes (reported %d), want %d", buf.Len(), n, want)
 	}
 
 	// The serialised form carries the exact count even though bytes.Buffer
 	// is not seekable.
-	rd, err := NewReader(p, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rd.Len() != dec.Len() {
-		t.Errorf("header count %d, want %d", rd.Len(), dec.Len())
+	if count := binary.LittleEndian.Uint64(buf.Bytes()[headerSize-8:]); count != uint64(dec.Len()) {
+		t.Errorf("header count %d, want %d", count, dec.Len())
 	}
 
 	back, err := Decode(p, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != dec.Len() {
-		t.Fatalf("round trip lost events: %d != %d", back.Len(), dec.Len())
-	}
-	ca, cb := dec.Cursor(), back.Cursor()
-	var a, b vm.Event
-	for {
-		ea, eb := ca.Next(&a), cb.Next(&b)
-		if ea == io.EOF && eb == io.EOF {
-			break
-		}
-		if ea != nil || eb != nil || a != b {
-			t.Fatalf("round-trip divergence: %v %v\n%+v\n%+v", ea, eb, a, b)
-		}
+	if !slices.Equal(events(back), events(dec)) {
+		t.Fatalf("round trip changed the trace: %d events back from %d", back.Len(), dec.Len())
 	}
 }
 
+// TestDecodeRejectsWrongProgram checks the fingerprint ahead of the
+// count: an EOF-terminated trace of another program is refused as well.
 func TestDecodeRejectsWrongProgram(t *testing.T) {
 	a := asm.MustAssemble("a", "main:\n  li r1, 1\n  halt\n")
 	b := asm.MustAssemble("b", "main:\n  li r1, 2\n  halt\n")
-	var buf bytes.Buffer
-	if _, err := Record(a, 0, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decode(b, bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("Decode accepted a trace of a different program")
-	}
+	wantDecodeErr(t, "EOF-terminated", b, withCount(encode(t, a, 0), countUnknown),
+		`trace: program mismatch: trace was not recorded from "b"`)
 }
 
 // TestConcurrentCursorReplay drives many timing engines off one shared

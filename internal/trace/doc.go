@@ -13,14 +13,17 @@
 //
 // The header binds a trace to its program: it carries the program's
 // content fingerprint (prog.Fingerprint), so replaying against the wrong
-// program is an error rather than a silent garbage run, and — when the
-// trace was written to a seekable sink — the exact record count, so a
-// truncated file is detected even when it was cut at a record boundary.
+// program is an error rather than a silent garbage run, and the exact
+// record count, so a truncated file is detected even when it was cut at a
+// record boundary. The count is always exact, whatever the sink: a trace
+// is written whole from memory, so a pipe needs no seek. Decode still
+// reads the EOF-terminated traces (count ^0) that earlier builds streamed
+// to pipes.
 //
-// Main entry points: Record executes a program on the functional VM and
-// streams its events to a sink; NewReader replays a trace file as a
-// cpu.EventSource; Decode (and RecordAll, which skips the file) loads a
-// whole trace into a Decoded, whose Cursor values are independent
-// lock-free replay positions — the form sim.TraceStore keeps resident so
-// concurrent timing runs share one immutable decoded trace.
+// A trace has one form in memory, Decoded, and one codec: RecordAll
+// executes a program on the functional VM and returns its trace,
+// Decoded.WriteTo writes the file, and Decode reads and validates a whole
+// file back. A Decoded's Cursor values are independent lock-free replay
+// positions — the form sim.TraceStore keeps resident so concurrent timing
+// runs share one immutable decoded trace.
 package trace

@@ -2,15 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
-	"io"
-	"os"
-	"path/filepath"
-	"strings"
+	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/cpu"
+	"repro/internal/prog"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -32,52 +32,78 @@ loop:
     halt
 `
 
-func TestRecordReplayMatchesLive(t *testing.T) {
-	p := asm.MustAssemble("loop", loopSrc)
-	var buf bytes.Buffer
-	n, err := Record(p, 0, &buf)
+// encode records up to max instructions of p and returns the trace file.
+func encode(t testing.TB, p *prog.Program, max int64) []byte {
+	t.Helper()
+	d, err := RecordAll(p, max)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
+	var buf bytes.Buffer
+	if _, err := d.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// withCount returns a copy of the trace file raw whose header declares
+// count records.
+func withCount(raw []byte, count uint64) []byte {
+	out := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint64(out[headerSize-8:], count)
+	return out
+}
+
+// events replays d through a fresh cursor.
+func events(d *Decoded) []vm.Event {
+	var out []vm.Event
+	c := d.Cursor()
+	for {
+		var ev vm.Event
+		if c.Next(&ev) != nil {
+			return out
+		}
+		out = append(out, ev)
+	}
+}
+
+// wantDecodeErr requires Decode of raw against p to fail with exactly msg.
+func wantDecodeErr(t *testing.T, name string, p *prog.Program, raw []byte, msg string) {
+	t.Helper()
+	d, err := Decode(p, bytes.NewReader(raw))
+	if err == nil {
+		t.Errorf("%s: decoded %d events, want error %q", name, d.Len(), msg)
+	} else if err.Error() != msg {
+		t.Errorf("%s: err = %q, want %q", name, err, msg)
+	}
+}
+
+func TestRecordReplayMatchesLive(t *testing.T) {
+	p := asm.MustAssemble("loop", loopSrc)
+	d, err := Decode(p, bytes.NewReader(encode(t, p, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Len() == 0 {
 		t.Fatal("empty trace")
 	}
 
-	// Replaying the trace must yield event-for-event identity with a live
-	// functional run.
-	rd, err := NewReader(p, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Replaying the trace file must yield event-for-event identity with a
+	// live functional run, which it ends with the halt.
 	machine := vm.New(p)
-	var live, replay vm.Event
-	for i := int64(0); ; i++ {
-		rerr := rd.Next(&replay)
-		lerr := machine.Step(&live)
-		if rerr == io.EOF {
-			if lerr == nil && !machine.Halt {
-				// Step after halt should error; the trace ends with halt.
-				t.Fatalf("trace ended early at %d", i)
-			}
-			break
-		}
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		if lerr != nil {
-			t.Fatal(lerr)
+	var live vm.Event
+	for i, replay := range events(d) {
+		if err := machine.Step(&live); err != nil {
+			t.Fatalf("live step %d: %v", i, err)
 		}
 		if replay.PC != live.PC || replay.NextPC != live.NextPC ||
 			replay.Taken != live.Taken || replay.Addr != live.Addr ||
-			replay.Val != live.Val || replay.Seq != live.Seq {
+			replay.Val != live.Val || replay.Seq != live.Seq || replay.Inst != live.Inst {
 			t.Fatalf("event %d mismatch:\nreplay %+v\nlive   %+v", i, replay, live)
 		}
-		if machine.Halt {
-			if err := rd.Next(&replay); err != io.EOF {
-				t.Fatalf("expected EOF after halt, got %v", err)
-			}
-			break
-		}
+	}
+	if !machine.Halt {
+		t.Fatalf("trace ended after %d events, before the live run halted", d.Len())
 	}
 }
 
@@ -85,10 +111,6 @@ func TestTimingFromTraceMatchesLive(t *testing.T) {
 	// The whole point of the trace: feeding it to the timing model must
 	// reproduce the live run's statistics exactly.
 	b := workload.ByName("perl")
-	var buf bytes.Buffer
-	if _, err := Record(b.Prog, 30_000, &buf); err != nil {
-		t.Fatal(err)
-	}
 	cfg := cpu.DefaultConfig(20, cpu.PredARVICurrent)
 	cfg.MaxInsts = 30_000
 
@@ -100,11 +122,11 @@ func TestTimingFromTraceMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := NewReader(b.Prog, bytes.NewReader(buf.Bytes()))
+	d, err := Decode(b.Prog, bytes.NewReader(encode(t, b.Prog, 30_000)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := eng.RunSource(b.Prog, rd)
+	replayed, err := eng.RunSource(b.Prog, d.Cursor())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,41 +168,23 @@ func TestTimingFromTraceWithWrongPathInject(t *testing.T) {
 
 func TestReaderRejectsGarbage(t *testing.T) {
 	p := asm.MustAssemble("x", "main:\n  halt\n")
-	if _, err := NewReader(p, strings.NewReader("BADMAGIC")); err == nil {
-		t.Error("bad magic accepted")
-	}
+	bad := append([]byte("BADMAGIC"), make([]byte, headerSize-len(magic))...)
+	wantDecodeErr(t, "bad magic", p, bad, `trace: bad magic "BADMAGIC"`)
+
 	// A record pointing outside the text segment.
 	var buf bytes.Buffer
-	w, err := NewWriter(p, &buf)
-	if err != nil {
+	if _, err := (&Decoded{prog: p, recs: []rec{{pc: 0}, {pc: 99}}}).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(&vm.Event{PC: 99}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := NewReader(p, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ev vm.Event
-	if err := rd.Next(&ev); err == nil {
-		t.Error("out-of-range pc accepted")
-	}
+	wantDecodeErr(t, "pc 99", p, buf.Bytes(), "trace: record 1: pc 99 outside program text")
 }
 
 func TestReaderRejectsTruncatedHeader(t *testing.T) {
 	p := asm.MustAssemble("x", "main:\n  halt\n")
-	var buf bytes.Buffer
-	if _, err := Record(p, 0, &buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{0, 3, len(magic), headerSize - 1} {
-		if _, err := NewReader(p, bytes.NewReader(buf.Bytes()[:n])); err == nil {
-			t.Errorf("header truncated to %d bytes accepted", n)
-		}
+	raw := encode(t, p, 0)
+	wantDecodeErr(t, "empty file", p, nil, "trace: reading header: EOF")
+	for _, n := range []int{3, len(magic), headerSize - 1} {
+		wantDecodeErr(t, "header cut", p, raw[:n], "trace: reading header: unexpected EOF")
 	}
 }
 
@@ -189,77 +193,61 @@ func TestReaderRejectsWrongProgram(t *testing.T) {
 	// a cross-replay would silently decode garbage instructions.
 	a := asm.MustAssemble("a", "main:\n  li r1, 1\n  halt\n")
 	b := asm.MustAssemble("b", "main:\n  li r1, 2\n  halt\n")
-	var buf bytes.Buffer
-	if _, err := Record(a, 0, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewReader(b, bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("trace of program a accepted for program b")
-	}
-	if _, err := NewReader(a, bytes.NewReader(buf.Bytes())); err != nil {
+	raw := encode(t, a, 0)
+	wantDecodeErr(t, "program b", b, raw, `trace: program mismatch: trace was not recorded from "b"`)
+	if _, err := Decode(a, bytes.NewReader(raw)); err != nil {
 		t.Errorf("trace rejected for its own program: %v", err)
 	}
 }
 
 func TestReaderDetectsTruncation(t *testing.T) {
 	prg := asm.MustAssemble("loop", loopSrc)
-	path := filepath.Join(t.TempDir(), "loop.trc")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := Record(prg, 100, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := headerSize + int(n)*recordSize; len(raw) != want {
+	raw := encode(t, prg, 100)
+	if want := headerSize + 100*recordSize; len(raw) != want {
 		t.Fatalf("trace file is %d bytes, want %d", len(raw), want)
 	}
 
-	drain := func(b []byte) (int64, error) {
-		rd, err := NewReader(prg, bytes.NewReader(b))
-		if err != nil {
-			return 0, err
-		}
-		var ev vm.Event
-		var got int64
-		for {
-			if err := rd.Next(&ev); err != nil {
-				if err == io.EOF {
-					return got, nil
-				}
-				return got, err
-			}
-			got++
-		}
+	// Intact file: all declared records.
+	if d, err := Decode(prg, bytes.NewReader(raw)); err != nil || d.Len() != 100 {
+		t.Fatalf("intact decode: err %v, want 100 events", err)
 	}
-
-	// Intact file: all declared records, clean EOF.
-	if got, err := drain(raw); err != nil || got != n {
-		t.Fatalf("intact drain = (%d, %v), want (%d, nil)", got, err, n)
-	}
-	// Cut at a record boundary: silent-shortening must be detected.
-	cut := raw[:headerSize+10*recordSize]
-	if _, err := drain(cut); err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Errorf("boundary truncation: err = %v, want truncation error", err)
-	}
+	// Cut at a record boundary: silent shortening must be detected.
+	wantDecodeErr(t, "boundary cut", prg, raw[:headerSize+10*recordSize],
+		"trace: truncated: 10 of 100 declared records")
 	// Cut mid-record.
-	mid := raw[:headerSize+10*recordSize+7]
-	if _, err := drain(mid); err == nil {
-		t.Error("mid-record truncation accepted")
-	}
+	wantDecodeErr(t, "mid-record cut", prg, raw[:headerSize+10*recordSize+7],
+		"trace: record 10: unexpected EOF")
 	// Trailing garbage after the declared records.
-	trailing := append(append([]byte(nil), raw...), 0xAB)
-	if _, err := drain(trailing); err == nil || !strings.Contains(err.Error(), "trailing") {
-		t.Errorf("trailing data: err = %v, want trailing-data error", err)
+	wantDecodeErr(t, "trailing byte", prg, append(raw[:len(raw):len(raw)], 0xAB),
+		"trace: trailing data after 100 declared records")
+}
+
+// TestDecodeReadsEOFTerminatedTrace pins the reading of traces whose
+// header count is countUnknown, as earlier builds wrote them to pipes:
+// the records run to EOF, a partial record is still an error, and only a
+// cut at a record boundary goes unseen (the reason the count is written).
+func TestDecodeReadsEOFTerminatedTrace(t *testing.T) {
+	prg := asm.MustAssemble("loop", loopSrc)
+	raw := encode(t, prg, 100)
+	want, err := Decode(prg, bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
 	}
+	open := withCount(raw, countUnknown)
+	got, err := Decode(prg, bytes.NewReader(open))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := events(got), events(want); len(a) != 100 || !slices.Equal(a, b) {
+		t.Fatalf("EOF-terminated trace decoded %d events unlike its counted form's %d", len(a), len(b))
+	}
+	if d, err := Decode(prg, bytes.NewReader(open[:headerSize+10*recordSize])); err != nil || d.Len() != 10 {
+		t.Errorf("boundary cut: err %v, want 10 events", err)
+	}
+	wantDecodeErr(t, "mid-record cut", prg, open[:headerSize+10*recordSize+7],
+		"trace: record 10: unexpected EOF")
+	wantDecodeErr(t, "trailing byte", prg, append(open, 0xAB),
+		"trace: record 100: unexpected EOF")
 }
 
 // TestReaderRejectsCorruptCount: a flipped count field must fail the
@@ -268,86 +256,14 @@ func TestReaderDetectsTruncation(t *testing.T) {
 // path could remove the file).
 func TestReaderRejectsCorruptCount(t *testing.T) {
 	prg := asm.MustAssemble("loop", loopSrc)
-	var buf bytes.Buffer
-	if _, err := Record(prg, 100, &buf); err != nil {
-		t.Fatal(err)
-	}
+	raw := encode(t, prg, 100)
 	for _, count := range []uint64{1 << 40, 1<<64 - 2} {
-		raw := append([]byte(nil), buf.Bytes()...)
-		for i := 0; i < 8; i++ {
-			raw[int(countOffset)+i] = byte(count >> (8 * i))
-		}
-		if _, err := NewReader(prg, bytes.NewReader(raw)); err == nil {
-			t.Errorf("count %d accepted", count)
-		}
-		if _, err := Decode(prg, bytes.NewReader(raw)); err == nil {
-			t.Errorf("count %d decoded", count)
-		}
+		wantDecodeErr(t, "corrupt count", prg, withCount(raw, count),
+			"trace: unreasonable record count "+strconv.FormatUint(count, 10)+" in header")
 	}
 	// A lying-but-plausible count must surface as truncation, not OOM.
-	raw := append([]byte(nil), buf.Bytes()...)
-	lie := uint64(1 << 24)
-	for i := 0; i < 8; i++ {
-		raw[int(countOffset)+i] = byte(lie >> (8 * i))
-	}
-	if _, err := Decode(prg, bytes.NewReader(raw)); err == nil ||
-		!strings.Contains(err.Error(), "truncated") {
-		t.Errorf("plausible lying count: err = %v, want truncation error", err)
-	}
-}
-
-func TestReaderLenFromHeader(t *testing.T) {
-	prg := asm.MustAssemble("loop", loopSrc)
-
-	// Seekable sink: exact count in the header.
-	path := filepath.Join(t.TempDir(), "loop.trc")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := Record(prg, 50, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	raw, _ := os.ReadFile(path)
-	rd, err := NewReader(prg, bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rd.Len() != n {
-		t.Errorf("Len = %d, want %d", rd.Len(), n)
-	}
-
-	// Pure stream: unknown count.
-	var buf bytes.Buffer
-	if _, err := Record(prg, 50, &buf); err != nil {
-		t.Fatal(err)
-	}
-	rd2, err := NewReader(prg, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rd2.Len() != -1 {
-		t.Errorf("streamed Len = %d, want -1", rd2.Len())
-	}
-}
-
-func TestWriterLen(t *testing.T) {
-	p := asm.MustAssemble("x", "main:\n  halt\n")
-	var buf bytes.Buffer
-	w, err := NewWriter(p, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := w.Append(&vm.Event{PC: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.Len() != 5 {
-		t.Errorf("len = %d", w.Len())
-	}
+	wantDecodeErr(t, "lying count", prg, withCount(raw, 1<<24),
+		"trace: truncated: 100 of 16777216 declared records")
 }
 
 // failingWriter accepts limit bytes, then fails every write.
@@ -365,17 +281,21 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestRecordStopsOnWriteError pins that a failing sink stops the
-// recording: Record returns the sink's error as soon as a buffered write
-// reaches it, instead of stepping the VM on to its budget.
-func TestRecordStopsOnWriteError(t *testing.T) {
+// TestWriteToStopsOnWriteError pins that a failing sink stops the
+// encoding: WriteTo returns the sink's error as soon as a buffered write
+// reaches it, instead of encoding the rest of the trace.
+func TestWriteToStopsOnWriteError(t *testing.T) {
 	p := asm.MustAssemble("spin", "main:\n  j main\n")
-	const max = 100_000
-	n, err := Record(p, max, &failingWriter{limit: 4 << 10})
+	d, err := RecordAll(p, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := int64(headerSize) + d.Len()*recordSize
+	n, err := d.WriteTo(&failingWriter{limit: 4 << 10})
 	if !errors.Is(err, errSinkFull) {
 		t.Fatalf("err = %v, want the sink's error", err)
 	}
-	if n >= max/10 {
-		t.Errorf("recorded %d of %d instructions after the sink failed", n, max)
+	if n >= whole/10 {
+		t.Errorf("encoded %d of %d bytes after the sink failed", n, whole)
 	}
 }
