@@ -28,11 +28,9 @@ import (
 	"syscall"
 
 	"repro/internal/cpu"
-	"repro/internal/isa"
 	"repro/internal/profiling"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -138,15 +136,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		src := &haltCheckSource{src: dec.Cursor()}
-		st, err := eng.RunSourceContext(ctx, b.Prog, src)
+		st, err := eng.RunSourceContext(ctx, b.Prog, dec.Cursor())
 		if err != nil {
 			fatal(err)
 		}
 		// A trace may legitimately end before the budget — but only at a
 		// halt. Anything shorter was recorded with a smaller -n, and the
 		// stats would silently describe a different run.
-		if st.Insts < spec.Config().MaxInsts && !src.halted {
+		if st.Insts < spec.Config().MaxInsts && !dec.Halted() {
 			fatal(fmt.Errorf("trace %s ends after %d events without halting; "+
 				"recorded with a smaller budget than -n %d (re-record, or lower -n)",
 				*replay, st.Insts, spec.Config().MaxInsts))
@@ -205,22 +202,6 @@ func main() {
 		st.Loads, st.Stores, st.StoreForwarded)
 	fmt.Printf("miss rates     L1D %.3f, L2 %.3f, L1I %.3f\n",
 		st.L1DMissRate, st.L2MissRate, st.L1IMissRate)
-}
-
-// haltCheckSource passes events through while remembering whether the
-// last one was the program halting, so a budget-truncated trace can be
-// told apart from a naturally ending one.
-type haltCheckSource struct {
-	src    cpu.EventSource
-	halted bool
-}
-
-func (s *haltCheckSource) Next(ev *vm.Event) error {
-	err := s.src.Next(ev)
-	if err == nil {
-		s.halted = ev.Inst.Op == isa.OpHalt
-	}
-	return err
 }
 
 // flushProfiles is profiling.Setup's flush once configured; fatal routes

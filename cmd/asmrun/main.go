@@ -14,7 +14,8 @@
 // 2lvl-2bc-gskew, arvi-current, arvi-loadback, arvi-perfect). An unknown
 // mode, a -depth below 1 or a negative -n (0 runs to halt) exits with
 // status 2 before anything is assembled. -trace writes the trace with its
-// exact record count, to a file or a pipe alike.
+// exact record count, to a file or a pipe alike; status lines go to
+// stderr, so -trace /dev/stdout writes only the trace.
 package main
 
 import (
@@ -66,13 +67,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// Status lines go to stderr, so -trace /dev/stdout or -o /dev/stdout
+	// writes nothing but the file.
 	st := p.StaticStats()
-	fmt.Printf("assembled %s: %d instructions, %d data bytes, entry %d\n",
+	fmt.Fprintf(os.Stderr, "assembled %s: %d instructions, %d data bytes, entry %d\n",
 		p.Name, st.Insts, st.DataBytes, p.Entry)
 
 	if *out != "" {
 		writeFile(*out, p)
-		fmt.Printf("wrote image to %s\n", *out)
+		fmt.Fprintf(os.Stderr, "wrote image to %s\n", *out)
 	}
 
 	if *trc != "" {
@@ -81,7 +84,7 @@ func main() {
 			fatal(err)
 		}
 		writeFile(*trc, dec)
-		fmt.Printf("recorded %d events to %s\n", dec.Len(), *trc)
+		fmt.Fprintf(os.Stderr, "recorded %d events to %s\n", dec.Len(), *trc)
 		return
 	}
 

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -136,5 +138,30 @@ func TestTraceFileMatchesRecordAll(t *testing.T) {
 		if !bytes.Equal(got, want.Bytes()) {
 			t.Errorf("-n %d: the -trace file (%d bytes) differs from RecordAll+WriteTo (%d bytes)", n, len(got), want.Len())
 		}
+	}
+}
+
+// TestTraceToPipe pins -trace to a sink that cannot seek: with
+// -trace /dev/stdout, whose stdout the test reads through a pipe, asmrun
+// exits 0 and writes exactly the trace RecordAll and WriteTo make of the
+// assembled program, with its status lines on stderr.
+func TestTraceToPipe(t *testing.T) {
+	_, stdout, stderr, status := asmrun(t, "-trace", "/dev/stdout")
+	if status != 0 {
+		t.Fatalf("exit %d, stderr %q", status, stderr)
+	}
+	dec, err := trace.RecordAll(asm.MustAssemble("loop", loopSrc), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if _, err := dec.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if stdout != want.String() {
+		t.Errorf("stdout is %d bytes unlike the %d-byte trace RecordAll+WriteTo make", len(stdout), want.Len())
+	}
+	if line := fmt.Sprintf("recorded %d events to /dev/stdout\n", dec.Len()); !strings.HasSuffix(stderr, line) {
+		t.Errorf("stderr %q does not end with %q", stderr, line)
 	}
 }

@@ -121,6 +121,12 @@ type DDT struct {
 	rowStamp []int64 // per register: seq when its row was last written
 	//arvi:len entries
 	allocSeq []int64 // per entry: seq when its current occupant arrived
+	// runStart is the allocSeq at which the youngest gap-free allocation
+	// run began: no rollback has happened since, so the live entries
+	// allocated at or after it are the youngest and carry consecutive
+	// stamps. 0 when a rollback ended the run and no Insert has started
+	// another.
+	runStart int64
 
 	// rowSum[r] bit w is set when word w of register r's row may be
 	// nonzero: exact when the row is written, a superset afterwards (bits
@@ -238,7 +244,7 @@ func MustNewDDT(cfg Config) *DDT {
 //
 //arvi:hotpath
 func (d *DDT) Reset() {
-	d.seq = 0
+	d.seq, d.runStart = 0, 0
 	clear(d.rowStamp)
 	clear(d.allocSeq)
 	d.valid.Reset()
@@ -308,14 +314,25 @@ func (d *DDT) entryAt(age int) int {
 // staleWidth returns how many of the youngest live entries were allocated
 // after a row written at the given stamp — the width of the circular range
 // below the head whose bits in that row are stale aliases and must be
-// masked on read. allocSeq is monotone over the live window (FIFO
-// allocation), so a binary search over ages suffices.
+// masked on read. When the stamp falls inside the youngest gap-free run
+// the stamps above it are consecutive and the width is a subtraction;
+// otherwise, since allocSeq is monotone over the live window (FIFO
+// allocation), a binary search over ages finds it.
 //
 //arvi:hotpath
 func (d *DDT) staleWidth(stamp int64) int {
 	n := d.count
-	if n == 0 || d.allocSeq[d.entryAt(1)] <= stamp {
+	if n == 0 {
+		return 0
+	}
+	youngest := d.allocSeq[d.entryAt(1)]
+	if youngest <= stamp {
 		return 0 // row written at or after the youngest live allocation
+	}
+	if d.runStart != 0 && stamp >= d.runStart-1 {
+		// Every live entry allocated after the stamp is in the run, whose
+		// live entries are the youngest and carry consecutive stamps.
+		return int(min(youngest-stamp, int64(n)))
 	}
 	if d.allocSeq[d.entryAt(n)] > stamp {
 		return n // row predates every live allocation
@@ -395,6 +412,9 @@ func (d *DDT) Insert(tgt PhysReg, srcs []PhysReg, isLoad bool) (int, error) {
 	e := d.head
 	d.seq++
 	d.allocSeq[e] = d.seq
+	if d.runStart == 0 {
+		d.runStart = d.seq
+	}
 
 	// The slot being reused may still be counted in the tracked chain's
 	// aggregates; retract it while its old marks are still readable.
@@ -623,6 +643,7 @@ func (d *DDT) Rollback(n int) error {
 		//arvi:cold out-of-range rollback is a caller bug, not a steady state
 		return fmt.Errorf("core: rollback %d of %d in-flight", n, d.count)
 	}
+	d.runStart = 0 // the rewound stamps leave a gap before the next Insert's
 	for i := 0; i < n; i++ {
 		d.head = d.prev(d.head)
 		d.valid.Clear(d.head)

@@ -751,3 +751,71 @@ func runProgram(t *testing.T, d *DDT, rng *rand.Rand, cfg Config, logical, steps
 		t.Fatalf("fuzz wrapped the table only %d/%d inserts", inserts, 4*cfg.Entries)
 	}
 }
+
+// TestStaleWidthMatchesBruteForce drives random Insert, Commit and
+// Rollback sequences and requires staleWidth to equal a count over the
+// live window — the live entries allocated after the stamp — for row
+// stamps, for the stamps on either side of live allocations, and for 0
+// and the newest stamp. It runs at the Table 2 window, which fills and
+// wraps, and at a small one that wraps many times, and requires both the
+// gap-free-run subtraction and the binary search to have answered.
+func TestStaleWidthMatchesBruteForce(t *testing.T) {
+	for _, cfg := range []Config{{Entries: 256, PhysRegs: 296}, {Entries: 12, PhysRegs: 20}} {
+		rng := rand.New(rand.NewSource(26))
+		d := newDDT(t, cfg)
+		inRun, searched := 0, 0
+		check := func(step int, stamp int64) {
+			want := 0
+			for age := 1; age <= d.count; age++ {
+				if d.allocSeq[d.entryAt(age)] > stamp {
+					want++
+				}
+			}
+			if got := d.staleWidth(stamp); got != want {
+				t.Fatalf("%d entries, step %d: staleWidth(%d) = %d, brute force %d (seq %d, run from %d, %d live)",
+					cfg.Entries, step, stamp, got, want, d.seq, d.runStart, d.count)
+			}
+			if d.count > 0 && d.allocSeq[d.entryAt(1)] > stamp {
+				if d.runStart != 0 && stamp >= d.runStart-1 {
+					inRun++
+				} else {
+					searched++
+				}
+			}
+		}
+		wraps := 0
+		for step := 0; step < 20_000; step++ {
+			switch r := rng.Intn(40); {
+			case r < 24 && !d.Full():
+				src := []PhysReg{PhysReg(rng.Intn(cfg.PhysRegs))}
+				if e := mustInsert(t, d, PhysReg(rng.Intn(cfg.PhysRegs)), src, rng.Intn(4) == 0); e == cfg.Entries-1 {
+					wraps++
+				}
+			case r < 38 && d.Len() > 0:
+				if _, err := d.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			case d.Len() > 0:
+				if err := d.Rollback(rng.Intn(min(d.Len(), 12) + 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check(step, 0)
+			check(step, d.seq)
+			for k := 0; k < 8; k++ {
+				check(step, d.rowStamp[rng.Intn(cfg.PhysRegs)])
+				if d.count > 0 {
+					a := d.allocSeq[d.entryAt(1+rng.Intn(d.count))]
+					check(step, a-1)
+					check(step, a)
+				}
+			}
+		}
+		if wraps < 2 {
+			t.Errorf("%d entries: the head wrapped %d times; want at least 2", cfg.Entries, wraps)
+		}
+		if inRun == 0 || searched == 0 {
+			t.Errorf("%d entries: %d answers from the run, %d from the search; want both", cfg.Entries, inRun, searched)
+		}
+	}
+}

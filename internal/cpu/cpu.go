@@ -17,6 +17,15 @@
 // ARVI requires), the DDT/RSE (package core) and the two-level override
 // predictor (level-1 2Bc-gskew plus either a large 2Bc-gskew or ARVI at
 // level 2).
+//
+// The trace arrives as 32-byte vm.Rec records, read from an EventSource
+// in chunks of at most 65 536 and replayed in place; the engine looks each
+// record's static instruction up in a table it pre-decodes from the
+// program text at the start of the run. Cancellation is checked between
+// chunks. The shortcuts that keep this loop cheap — masked rings,
+// same-line fetch, the DDT's O(1) stale width, one store-queue scan per
+// load — are exact; DESIGN.md's replay loop section gives the argument
+// for each.
 package cpu
 
 import (

@@ -2,8 +2,8 @@ package cpu
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"io"
 	"math/bits"
 
 	"repro/internal/arvi"
@@ -138,11 +138,54 @@ type storeRec struct {
 	commitC int64
 }
 
+// pre is one pre-decoded static instruction: what the timing model reads
+// of the instruction at a pc, derived once per run from the program text
+// instead of by isa's switch predicates on every record.
+type pre struct {
+	imm   int64 // branch or jump target (the wrong-path walk follows it)
+	lat   int32 // execution latency
+	flags uint8 // preLoad, preStore, preCond, preJump, preDest
+	fu    isa.FUClass
+	op    isa.Op
+	rd    isa.Reg
+	nsrc  uint8      // source registers in src, at most 2 (the ISA's limit)
+	src   [2]isa.Reg // source registers in SrcRegs order
+}
+
+const (
+	preLoad uint8 = 1 << iota
+	preStore
+	preCond
+	preJump
+	preDest
+)
+
+// predecode returns the pre-decoded form of in.
+//
+//arvi:hotpath
+func predecode(in isa.Inst) pre {
+	s := pre{imm: in.Imm, lat: int32(in.ExecLatency()), fu: in.FU(), op: in.Op, rd: in.Rd}
+	s.nsrc = uint8(len(in.SrcRegs(s.src[:0])))
+	s.flags = flagIf(in.IsLoad(), preLoad) | flagIf(in.IsStore(), preStore) |
+		flagIf(in.IsCondBranch(), preCond) | flagIf(in.IsJump(), preJump) |
+		flagIf(in.HasDest(), preDest)
+	return s
+}
+
+// flagIf returns f when on holds, else 0.
+//
+//arvi:hotpath
+func flagIf(on bool, f uint8) uint8 {
+	if on {
+		return f
+	}
+	return 0
+}
+
 // Engine runs one configuration over one program.
 type Engine struct {
 	cfg  Config
 	hier *mem.Hierarchy
-	prog *prog.Program
 
 	l1   *bpred.Gskew2Bc
 	l2   *bpred.Gskew2Bc
@@ -168,13 +211,35 @@ type Engine struct {
 	//arvi:len pregs
 	meta []pregMeta
 
-	// Per-seq rings.
-	commitRing  []int64        // commit cycle by seq
+	// Per-seq rings, indexed by seq & robMask. Each is read at most ROB
+	// instructions behind its newest write, so any power-of-two length
+	// above ROB is exact and the index needs no division; see
+	// DESIGN.md's replay loop section.
+
+	//arvi:len robring
+	commitRing []int64 // commit cycle by seq
+	//arvi:len robring
 	prevMapRing []core.PhysReg // displaced mapping by seq (freed at commit)
-	destRing    []uint8        // logical destination by seq (0xff = none)
-	valRing     []uint16       // low value bits written by seq
-	memRing     []int64        // commit cycle by memory-op ordinal
-	stores      []storeRec     // LSQ-window store history (ring)
+	//arvi:len robring
+	destRing []uint8 // logical destination by seq (0xff = none)
+	//arvi:len robring
+	valRing []uint16 // low value bits written by seq
+	//arvi:mask robring
+	robMask int64
+	// memRing is the commit cycle by memory-op ordinal, indexed by
+	// memSeq & lsqMask: it is read at most LSQ ordinals back.
+	//arvi:len lsqring
+	memRing []int64
+	//arvi:mask lsqring
+	lsqMask int64
+	// stores is the LSQ-window store history. Loads scan it whole, so it
+	// keeps exactly LSQ slots; the memory op with ordinal memSeq owns slot
+	// storeSlot == memSeq mod LSQ, advanced by wrap-by-compare.
+	//arvi:len lsqslots
+	stores []storeRec
+	//arvi:idx lsqslots
+	storeSlot int
+	valMask   uint16 // the low ARVI.ValueBits value bits a leaf keeps
 
 	// archVal is the shadow architectural register file: the low value
 	// bits of each logical register as of the commit frontier. Leaves
@@ -218,11 +283,11 @@ type Engine struct {
 	//arvi:scratch
 	leafBuf []arvi.LeafValue
 	//arvi:scratch
-	srcRegBuf []isa.Reg
-	//arvi:scratch
 	wpUndo []wpUndo
-	evBuf  vm.Event // replay's event cursor: a local would escape
-	// through the EventSource interface call and heap-allocate per run
+	// static is the pre-decoded program text, indexed by pc and rebuilt
+	// at the start of every run; it reallocates only for a longer program.
+	//arvi:scratch
+	static []pre
 }
 
 // rasDepth is the return-address stack capacity (power of two).
@@ -322,17 +387,21 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	robRing, lsqRing := ringAbove(cfg.ROB), ringAbove(cfg.LSQ)
 	e := &Engine{
 		cfg:  cfg,
 		hier: mem.NewHierarchy(mem.LatenciesForDepth(cfg.Depth)),
 		l1:   l1, l2: l2, conf: conf, av: av, ddt: ddt,
 		meta:        make([]pregMeta, physRegs),
-		commitRing:  make([]int64, cfg.ROB+1),
-		prevMapRing: make([]core.PhysReg, cfg.ROB+1),
-		destRing:    make([]uint8, cfg.ROB+1),
-		valRing:     make([]uint16, cfg.ROB+1),
-		memRing:     make([]int64, cfg.LSQ+1),
+		commitRing:  make([]int64, robRing),
+		prevMapRing: make([]core.PhysReg, robRing),
+		destRing:    make([]uint8, robRing),
+		valRing:     make([]uint16, robRing),
+		robMask:     int64(robRing - 1),
+		memRing:     make([]int64, lsqRing),
+		lsqMask:     int64(lsqRing - 1),
 		stores:      make([]storeRec, cfg.LSQ),
+		valMask:     uint16(1)<<cfg.ARVI.ValueBits - 1,
 		fetchSlots:  slotLimiter{width: cfg.FetchWidth},
 		commitSlots: slotLimiter{width: cfg.CommitWidth},
 		issue:       newIssueLimiter(cfg.FetchWidth),
@@ -344,12 +413,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e.freeRing = make([]core.PhysReg, physRegs)
 	e.srcPregs = make([]core.PhysReg, 0, 4)
-	e.srcRegBuf = make([]isa.Reg, 0, 4)
 	e.leafBuf = make([]arvi.LeafValue, 0, 64)
 	e.wpUndo = make([]wpUndo, 0, wrongPathBurst)
 	e.resetArchState()
 	return e, nil
 }
+
+// ringAbove returns the smallest power of two above n: the length of a
+// ring read at most n slots behind its newest write.
+func ringAbove(n int) int { return 1 << bits.Len(uint(n)) }
 
 // resetArchState (re)initialises every piece of engine state that varies
 // over a run, leaving configuration-derived allocations in place. It is
@@ -380,6 +452,7 @@ func (e *Engine) resetArchState() {
 	for i := range e.stores {
 		e.stores[i] = storeRec{seq: -1}
 	}
+	e.storeSlot = 0
 	e.archVal = [isa.NumRegs]uint16{}
 	e.hist = bpred.History{}
 	e.fetchSlots = slotLimiter{width: e.cfg.FetchWidth}
@@ -392,7 +465,6 @@ func (e *Engine) resetArchState() {
 	e.rasStart, e.rasLen = 0, 0
 	e.pendingOverride, e.pendingMispredict = 0, false
 	e.st = Stats{}
-	e.prog = nil
 }
 
 // Reset returns the engine to its freshly constructed state without
@@ -427,26 +499,33 @@ func Run(p *prog.Program, cfg Config) (Stats, error) {
 }
 
 // EventSource streams the correct-path dynamic trace into the timing
-// model. Next fills ev and returns io.EOF at the end of the trace.
+// model one chunk at a time. NextChunk returns the next records in
+// program order, at least one and at most n, or an empty chunk once the
+// trace is exhausted. The chunk may alias the source's own storage: the
+// engine only reads it, and only until its next call.
 type EventSource interface {
-	Next(ev *vm.Event) error
+	NextChunk(n int) ([]vm.Rec, error)
 }
 
-// vmSource adapts the functional VM to EventSource.
-type vmSource struct{ m *vm.VM }
+// vmSource is the live functional VM as an EventSource. It fills a buffer
+// it owns, so a live run and a replay of a recorded trace are two
+// independent producers of the same records.
+type vmSource struct {
+	m   *vm.VM
+	ev  vm.Event
+	buf []vm.Rec
+}
 
-// Next implements EventSource over live functional execution.
-func (s *vmSource) Next(ev *vm.Event) error {
-	if s.m.Halt {
-		return io.EOF
-	}
-	if err := s.m.Step(ev); err != nil {
-		if err == vm.ErrHalted {
-			return io.EOF
+// NextChunk steps the VM for up to n instructions.
+func (s *vmSource) NextChunk(n int) ([]vm.Rec, error) {
+	s.buf = s.buf[:0]
+	for len(s.buf) < n && !s.m.Halt {
+		if err := s.m.Step(&s.ev); err != nil {
+			return nil, err
 		}
-		return err
+		s.buf = append(s.buf, s.ev.Rec())
 	}
-	return nil
+	return s.buf, nil
 }
 
 // RunSource is RunSourceContext without cancellation.
@@ -460,25 +539,33 @@ func (e *Engine) RunSource(p *prog.Program, src EventSource) (Stats, error) {
 // a call to context.Background inside a hotpath function.
 var background = context.Background()
 
-// cancelChunk is how many instructions RunSourceContext replays between
-// context checks. At simulator speed a chunk is well under a millisecond,
-// so cancellation lands promptly without putting a context branch — or
-// any interface call that could not be allocation-audited — inside the
-// per-instruction hot loop.
+// cancelChunk is the most records RunSourceContext asks its source for at
+// once, and so how many instructions it replays between context checks.
+// At simulator speed a chunk is well under a millisecond, so cancellation
+// lands promptly without putting a context branch — or any interface
+// call that could not be allocation-audited — inside the per-instruction
+// hot loop.
 const cancelChunk = 65536
 
+// errPCOutside fails a replay whose source names a pc outside the
+// program's text: a trace of another program.
+var errPCOutside = errors.New("cpu: trace record pc outside the program text")
+
 // RunSourceContext replays a trace of the given program (the live VM, or
-// one recorded by package trace) through the timing model, checking ctx
-// between cancelChunk-sized replay chunks: the replay stops with
-// ctx.Err() at the next chunk boundary after ctx is done, and the
-// statistics of a canceled run are meaningless. The per-instruction loop
-// itself (replay) stays context-free by design — see
+// one recorded by package trace) through the timing model, reading it in
+// chunks of at most cancelChunk records and checking ctx between them:
+// the replay stops with ctx.Err() at the next chunk boundary after ctx is
+// done, and the statistics of a canceled run are meaningless. The
+// per-instruction loop itself (replay) stays context-free by design — see
 // DESIGN.md's failure domains section. Chunking only changes where the
 // instruction-budget comparison happens, not what is replayed.
 //
 //arvi:hotpath
 func (e *Engine) RunSourceContext(ctx context.Context, p *prog.Program, src EventSource) (Stats, error) {
-	e.prog = p
+	e.static = e.static[:0]
+	for _, in := range p.Text {
+		e.static = append(e.static, predecode(in))
+	}
 	var n int64
 	for {
 		//arvi:dyncall a context's Err is an atomic load or a mutex-guarded read; it allocates nothing
@@ -501,27 +588,31 @@ func (e *Engine) RunSourceContext(ctx context.Context, p *prog.Program, src Even
 	return e.finish(n), nil
 }
 
-// replay streams events through the timing model starting from
-// instruction count n until the source is exhausted, an event fails, or
-// the count reaches limit. It returns the updated count and whether the
-// source reported EOF. This is the per-instruction hot loop; cancellation
-// is layered above it in RunSourceContext.
+// replay reads one chunk of at most limit-n records from the source and
+// streams it through the timing model, instruction n first. It returns
+// the updated count and whether the source was exhausted. This is the
+// per-instruction hot loop: it ranges over the chunk in place, and its one
+// indirect call is the per-chunk read. Cancellation is layered above it
+// in RunSourceContext.
 //
 //arvi:hotpath
 func (e *Engine) replay(src EventSource, n, limit int64) (int64, bool, error) {
-	ev := &e.evBuf
-	for n < limit {
-		if err := src.Next(ev); err != nil { //arvi:dyncall EventSource impls (VM, trace cursor, replay reader) are allocation-audited
-			if err == io.EOF {
-				return n, true, nil
-			}
-			//arvi:cold a failing trace source aborts the run; per-instruction it never fires
-			return n, false, fmt.Errorf("cpu: trace source failed: %w", err)
+	recs, err := src.NextChunk(int(limit - n)) //arvi:dyncall once per chunk; the trace cursor is a hotpath sub-slice read, the live VM source exists for tests and small tools
+	if err != nil {
+		//arvi:cold a failing trace source aborts the run; once per chunk at most
+		return n, false, fmt.Errorf("cpu: trace source failed: %w", err)
+	}
+	static := e.static
+	for i := range recs {
+		r := &recs[i]
+		pc := int(r.PC)
+		if pc >= len(static) {
+			return n, false, errPCOutside
 		}
-		e.process(ev)
+		e.process(r, &static[pc], n)
 		n++
 	}
-	return n, false, nil
+	return n, len(recs) == 0, nil
 }
 
 // finish stamps the end-of-run statistics for a replay of n instructions.
@@ -548,10 +639,10 @@ func (e *Engine) finish(n int64) Stats {
 // performs.
 //
 //arvi:hotpath
-//arvi:panicfree e.frontier counts retired events (nonnegative) and the per-seq rings hold ROB+1 entries, so the modulo-reduced idx is in range; destRing values other than 0xff are logical registers below isa.NumRegs
+//arvi:panicfree destRing values other than 0xff are logical registers below isa.NumRegs
 func (e *Engine) advanceFrontier(seq, now int64) {
 	for e.frontier < seq {
-		idx := e.frontier % int64(len(e.commitRing))
+		idx := e.frontier & e.robMask
 		if e.commitRing[idx] > now {
 			return
 		}
@@ -569,31 +660,32 @@ func (e *Engine) advanceFrontier(seq, now int64) {
 	}
 }
 
-// process replays one trace event through the timing model.
+// process replays one trace record, instruction seq, through the timing
+// model; st is the pre-decoded instruction at its pc.
 //
 //arvi:hotpath
-//arvi:panicfree seq and memSeq are nonnegative event ordinals and the per-seq rings hold ROB+1/LSQ+1 entries, so modulo-reduced indexes are in range; decoded registers (SrcRegs, in.Rd) are below isa.NumRegs, and renamed physical registers are below physRegs == len(meta)
-func (e *Engine) process(ev *vm.Event) {
-	in := ev.Inst
-	seq := ev.Seq
+//arvi:panicfree pre-decoded registers (src, rd) are below isa.NumRegs and nsrc is at most len(src) == 2, and renamed physical registers are below physRegs == len(meta)
+func (e *Engine) process(r *vm.Rec, st *pre, seq int64) {
+	isLoad := st.flags&preLoad != 0
+	isMem := st.flags&(preLoad|preStore) != 0
 
 	// ---- Fetch ----------------------------------------------------------
 	c := e.nextFetchMin
 	// ROB occupancy: rename (at fetch, per Section 4.1's early rename)
 	// needs a free entry.
 	if seq >= int64(e.cfg.ROB) {
-		if t := e.commitRing[(seq-int64(e.cfg.ROB))%int64(len(e.commitRing))] + 1; t > c {
+		if t := e.commitRing[(seq-int64(e.cfg.ROB))&e.robMask] + 1; t > c {
 			c = t
 		}
 	}
 	// LSQ occupancy for memory operations.
-	if in.IsMem() && e.memSeq >= int64(e.cfg.LSQ) {
-		if t := e.memRing[(e.memSeq-int64(e.cfg.LSQ))%int64(len(e.memRing))] + 1; t > c {
+	if isMem && e.memSeq >= int64(e.cfg.LSQ) {
+		if t := e.memRing[(e.memSeq-int64(e.cfg.LSQ))&e.lsqMask] + 1; t > c {
 			c = t
 		}
 	}
 	// Instruction cache.
-	if lat := e.hier.FetchAccess(ev.PC); lat > 0 {
+	if lat := e.hier.FetchAccess(int(r.PC)); lat > 0 {
 		c += int64(lat)
 	}
 	fetchC := e.fetchSlots.take(c)
@@ -605,24 +697,23 @@ func (e *Engine) process(ev *vm.Event) {
 	e.advanceFrontier(seq, fetchC)
 
 	// ---- Branch prediction ----------------------------------------------
-	if in.IsCondBranch() {
-		e.predictBranch(ev, fetchC)
-	} else if in.IsJump() {
-		e.predictJump(ev, fetchC)
+	if st.flags&preCond != 0 {
+		e.predictBranch(r, st, fetchC)
+	} else if st.flags&preJump != 0 {
+		e.predictJump(r, st)
 	}
 
 	// ---- Source operands (old mappings, before renaming the dest) -------
-	e.srcRegBuf = in.SrcRegs(e.srcRegBuf[:0])
 	e.srcPregs = e.srcPregs[:0]
 	readyC := fetchC + e.frontLat
 	addrReady := int64(0) // readiness of the address operand (loads)
-	for k, r := range e.srcRegBuf {
-		p := e.mapTable[r]
+	for k, lr := range st.src[:st.nsrc] {
+		p := e.mapTable[lr]
 		e.srcPregs = append(e.srcPregs, p)
 		if t := e.meta[p].doneC + 1; t > readyC {
 			readyC = t
 		}
-		if in.IsLoad() && k == 0 {
+		if isLoad && k == 0 {
 			addrReady = e.meta[p].doneC + 1
 		}
 	}
@@ -630,51 +721,50 @@ func (e *Engine) process(ev *vm.Event) {
 	// ---- Rename + DDT insert --------------------------------------------
 	var dest = core.NoPReg
 	var displaced = core.NoPReg
-	if in.HasDest() {
+	if st.flags&preDest != 0 {
 		if e.freeLen == 0 {
 			//arvi:cold invariant trap; the ring holds ROB+8 spare registers
 			panic("cpu: free list exhausted (rename invariant violated)")
 		}
 		dest = e.freePop()
-		displaced = e.mapTable[in.Rd]
-		e.mapTable[in.Rd] = dest
+		displaced = e.mapTable[st.rd]
+		e.mapTable[st.rd] = dest
 	}
-	if _, err := e.ddt.Insert(dest, e.srcPregs, in.IsLoad()); err != nil {
+	if _, err := e.ddt.Insert(dest, e.srcPregs, isLoad); err != nil {
 		//arvi:cold invariant trap; the ROB occupancy stall keeps the table un-full
 		panic("cpu: DDT insert failed: " + err.Error())
 	}
-	ri := seq % int64(len(e.prevMapRing))
+	ri := seq & e.robMask
 	e.prevMapRing[ri] = displaced
 	if dest != core.NoPReg {
-		e.destRing[ri] = uint8(in.Rd)
-		e.valRing[ri] = uint16(uint64(ev.Val)) & (1<<e.cfg.ARVI.ValueBits - 1)
+		e.destRing[ri] = uint8(st.rd)
+		e.valRing[ri] = uint16(uint64(r.Val)) & e.valMask
 	} else {
 		e.destRing[ri] = 0xff
 	}
 
 	// ---- Issue and execute ----------------------------------------------
-	var issueC, doneC int64
-	switch in.FU() {
+	var issueC, doneC, storeReady int64
+	switch st.fu {
 	case isa.FUIntMul:
-		lat := int64(in.ExecLatency())
-		issueC = e.issue.take(e.mul.issue(readyC, in.ExecLatency()))
-		doneC = issueC + lat
+		issueC = e.issue.take(e.mul.issue(readyC, int(st.lat)))
+		doneC = issueC + int64(st.lat)
 	case isa.FUMem:
 		issueC = e.issue.take(e.memu.issue(readyC, 1))
-		if in.IsLoad() {
-			doneC = e.executeLoad(ev, seq, issueC)
+		if isLoad {
+			doneC, storeReady = e.executeLoad(r, seq, issueC)
 		} else {
 			doneC = issueC + 1
 			e.st.Stores++
 		}
 	default:
 		issueC = e.issue.take(e.alu.issue(readyC, 1))
-		doneC = issueC + int64(in.ExecLatency())
+		doneC = issueC + int64(st.lat)
 	}
 
 	// ---- Branch resolution penalties ------------------------------------
-	if in.IsCondBranch() || in.IsJump() {
-		e.resolveControl(ev, fetchC, doneC)
+	if st.flags&(preCond|preJump) != 0 {
+		e.resolveControl(fetchC, doneC)
 	}
 
 	// ---- Commit ----------------------------------------------------------
@@ -684,32 +774,34 @@ func (e *Engine) process(ev *vm.Event) {
 	}
 	commitC := e.commitSlots.take(cc)
 	e.lastCommitC = commitC
-	e.commitRing[seq%int64(len(e.commitRing))] = commitC
-	if in.IsMem() {
-		e.memRing[e.memSeq%int64(len(e.memRing))] = commitC
-		if in.IsStore() {
-			s := &e.stores[e.memSeq%int64(len(e.stores))]
-			*s = storeRec{seq: seq, addrW: ev.Addr &^ 7, readyC: doneC, commitC: commitC}
+	e.commitRing[seq&e.robMask] = commitC
+	if isMem {
+		e.memRing[e.memSeq&e.lsqMask] = commitC
+		if st.flags&preStore != 0 {
+			e.stores[e.storeSlot] = storeRec{seq: seq, addrW: r.Addr &^ 7, readyC: doneC, commitC: commitC}
 		}
 		e.memSeq++
+		if e.storeSlot++; e.storeSlot == len(e.stores) {
+			e.storeSlot = 0
+		}
 	}
 
 	// ---- Wrong-path exercise (optional) ----------------------------------
-	if e.cfg.WrongPathInject && e.pendingMispredict && in.IsCondBranch() {
-		e.injectWrongPath(ev)
+	if e.cfg.WrongPathInject && e.pendingMispredict && st.flags&preCond != 0 {
+		e.injectWrongPath(r, st)
 	}
 
 	// ---- Destination metadata (shadow register file update) --------------
 	if dest != core.NoPReg {
 		m := &e.meta[dest]
 		m.prevVal = m.val
-		m.val = uint16(uint64(ev.Val)) & (1<<e.cfg.ARVI.ValueBits - 1)
+		m.val = uint16(uint64(r.Val)) & e.valMask
 		m.doneC = doneC
 		m.commitC = commitC
-		m.logical = uint8(in.Rd)
-		m.isLoad = in.IsLoad()
-		if in.IsLoad() {
-			m.hoistAvail = e.hoistAvailability(ev, seq, addrReady, doneC, issueC)
+		m.logical = uint8(st.rd)
+		m.isLoad = isLoad
+		if isLoad {
+			m.hoistAvail = hoistAvailability(addrReady, storeReady, doneC, issueC)
 		} else {
 			m.hoistAvail = doneC + 1
 		}
@@ -718,61 +810,51 @@ func (e *Engine) process(ev *vm.Event) {
 
 // executeLoad computes a load's completion cycle: store-to-load forwarding
 // from the LSQ when an older in-flight store matches the word address,
-// otherwise a cache hierarchy access.
+// otherwise a cache hierarchy access. One scan of the store queue finds
+// the forwarding store and storeReady, the latest ready cycle of any
+// older store to the same word (0 when there is none), which the
+// load-back model reads.
 //
 //arvi:hotpath
-func (e *Engine) executeLoad(ev *vm.Event, seq, issueC int64) int64 {
+func (e *Engine) executeLoad(r *vm.Rec, seq, issueC int64) (doneC, storeReady int64) {
 	e.st.Loads++
-	addrW := ev.Addr &^ 7
-	if st := e.findForwardingStore(seq, addrW, issueC); st != nil {
-		e.st.StoreForwarded++
-		d := issueC
-		if st.readyC > d {
-			d = st.readyC
-		}
-		return d + 1
-	}
-	return issueC + int64(e.hier.DataAccess(ev.Addr))
-}
-
-// findForwardingStore returns the youngest older store to the same word
-// still in the store queue at cycle at, or nil.
-//
-//arvi:hotpath
-func (e *Engine) findForwardingStore(seq int64, addrW uint64, at int64) *storeRec {
-	var best *storeRec
+	addrW := r.Addr &^ 7
+	var fwd *storeRec // the youngest older same-word store not yet drained
 	for i := range e.stores {
 		st := &e.stores[i]
 		if st.seq < 0 || st.seq >= seq || st.addrW != addrW {
 			continue
 		}
-		if st.commitC <= at { // already drained to the cache
-			continue
+		if st.readyC > storeReady {
+			storeReady = st.readyC
 		}
-		if best == nil || st.seq > best.seq {
-			best = st
+		// A store committed by issueC has drained to the cache.
+		if st.commitC > issueC && (fwd == nil || st.seq > fwd.seq) {
+			fwd = st
 		}
 	}
-	return best
+	if fwd != nil {
+		e.st.StoreForwarded++
+		d := issueC
+		if fwd.readyC > d {
+			d = fwd.readyC
+		}
+		return d + 1, storeReady
+	}
+	return issueC + int64(e.hier.DataAccess(r.Addr)), storeReady
 }
 
 // hoistAvailability implements the load-back model: the earliest cycle at
 // which the loaded value would have been available had the load been moved
 // back as far as its address operands (and conflicting older stores,
-// resolved by run-time disambiguation) allow.
+// resolved by run-time disambiguation, whose latest ready cycle is
+// storeReady) allow.
 //
 //arvi:hotpath
-func (e *Engine) hoistAvailability(ev *vm.Event, seq, addrReady, doneC, issueC int64) int64 {
+func hoistAvailability(addrReady, storeReady, doneC, issueC int64) int64 {
 	start := addrReady
-	addrW := ev.Addr &^ 7
-	for i := range e.stores {
-		st := &e.stores[i]
-		if st.seq < 0 || st.seq >= seq || st.addrW != addrW {
-			continue
-		}
-		if st.readyC > start {
-			start = st.readyC // must wait for the forwarding data
-		}
+	if storeReady > start {
+		start = storeReady // must wait for the forwarding data
 	}
 	// The hoisted load takes the same memory latency the real one saw.
 	lat := doneC - issueC
@@ -790,10 +872,9 @@ func (e *Engine) hoistAvailability(ev *vm.Event, seq, addrReady, doneC, issueC i
 // branch fetched at fetchC and applies training updates.
 //
 //arvi:hotpath
-func (e *Engine) predictBranch(ev *vm.Event, fetchC int64) {
-	in := ev.Inst
-	pc := uint64(ev.PC)
-	taken := ev.Taken
+func (e *Engine) predictBranch(r *vm.Rec, st *pre, fetchC int64) {
+	pc := uint64(r.PC)
+	taken := r.Taken
 	hist := e.hist.Bits
 	e.st.CondBranches++
 	if taken {
@@ -814,11 +895,11 @@ func (e *Engine) predictBranch(ev *vm.Event, fetchC int64) {
 	} else {
 		highConf := e.conf.High(pc, hist)
 		// DDT read: dependence chain and leaf set for the branch sources.
-		e.srcRegBuf = in.SrcRegs(e.srcRegBuf[:0])
 		e.srcPregs = e.srcPregs[:0]
-		for _, r := range e.srcRegBuf {
-			//arvi:panicfree decoded source registers are below isa.NumRegs == len(mapTable)
-			e.srcPregs = append(e.srcPregs, e.mapTable[r])
+		//arvi:panicfree nsrc is at most len(src) == 2
+		for _, lr := range st.src[:st.nsrc] {
+			//arvi:panicfree pre-decoded source registers are below isa.NumRegs == len(mapTable)
+			e.srcPregs = append(e.srcPregs, e.mapTable[lr])
 		}
 		_, set, depth := e.ddt.LeafSet(e.srcPregs)
 		leaves, class := e.resolveLeaves(set, fetchC)
@@ -899,19 +980,18 @@ func (e *Engine) predictBranch(ev *vm.Event, fetchC int64) {
 // by JAL, with a misprediction redirect on a wrong target.
 //
 //arvi:hotpath
-func (e *Engine) predictJump(ev *vm.Event, fetchC int64) {
-	in := ev.Inst
+func (e *Engine) predictJump(r *vm.Rec, st *pre) {
 	e.pendingOverride = 1 // taken redirect bubble
 	e.pendingMispredict = false
-	switch in.Op {
+	switch st.op {
 	case isa.OpJal:
-		e.rasPush(int64(ev.PC + 1))
+		e.rasPush(int64(r.PC) + 1)
 	case isa.OpJr:
 		predicted := int64(-1)
 		if v, ok := e.rasPop(); ok {
 			predicted = v
 		}
-		if predicted != int64(ev.NextPC) {
+		if predicted != int64(r.Next) {
 			e.st.JumpMispreds++
 			e.pendingMispredict = true
 		}
@@ -922,7 +1002,7 @@ func (e *Engine) predictJump(ev *vm.Event, fetchC int64) {
 // prediction, now that the resolution cycle is known.
 //
 //arvi:hotpath
-func (e *Engine) resolveControl(ev *vm.Event, fetchC, doneC int64) {
+func (e *Engine) resolveControl(fetchC, doneC int64) {
 	if e.pendingMispredict {
 		if t := doneC + 1; t > e.nextFetchMin {
 			e.nextFetchMin = t

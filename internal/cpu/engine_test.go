@@ -2,7 +2,7 @@ package cpu
 
 import (
 	"context"
-	"io"
+	"errors"
 	"strings"
 	"testing"
 
@@ -559,19 +559,34 @@ func TestEngineResetMatchesWrongPathInjection(t *testing.T) {
 	}
 }
 
-// sliceSource replays pre-recorded events (test-local EventSource).
+// sliceSource replays pre-recorded records (test-local EventSource).
 type sliceSource struct {
-	evs []vm.Event
-	i   int
+	recs []vm.Rec
+	i    int
 }
 
-func (s *sliceSource) Next(ev *vm.Event) error {
-	if s.i >= len(s.evs) {
-		return io.EOF
+func (s *sliceSource) NextChunk(n int) ([]vm.Rec, error) {
+	chunk := s.recs[s.i:min(s.i+n, len(s.recs))]
+	s.i += len(chunk)
+	return chunk, nil
+}
+
+// TestRecordOutsideTextFails pins that a record naming a pc outside the
+// program text, as a trace of another program can, fails the run with an
+// error instead of indexing past the pre-decoded table.
+func TestRecordOutsideTextFails(t *testing.T) {
+	p, err := asm.Assemble("t", "main:\n  li r1, 1\n  halt\n")
+	if err != nil {
+		t.Fatal(err)
 	}
-	*ev = s.evs[s.i]
-	s.i++
-	return nil
+	eng, err := NewEngine(DefaultConfig(20, PredARVICurrent))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &sliceSource{recs: []vm.Rec{{PC: 0, Next: 1}, {PC: 2, Next: 3}}}
+	if _, err := eng.RunSource(p, src); !errors.Is(err, errPCOutside) {
+		t.Errorf("err = %v, want %v", err, errPCOutside)
+	}
 }
 
 // TestSteadyStateAllocFree is the per-event allocation regression guard of
@@ -586,14 +601,14 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("assemble: %v", err)
 	}
 	// Pre-record the dynamic trace so the VM is outside the measured loop.
-	var evs []vm.Event
+	var recs []vm.Rec
 	m := vm.New(p)
-	for len(evs) < 12_000 && !m.Halt {
+	for len(recs) < 12_000 && !m.Halt {
 		var ev vm.Event
 		if err := m.Step(&ev); err != nil {
 			break
 		}
-		evs = append(evs, ev)
+		recs = append(recs, ev.Rec())
 	}
 	for _, mode := range []PredMode{PredBaseline2Lvl, PredARVICurrent} {
 		cfg := DefaultConfig(20, mode)
@@ -601,7 +616,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := &sliceSource{evs: evs}
+		src := &sliceSource{recs: recs}
 		run := func() {
 			eng.Reset()
 			src.i = 0

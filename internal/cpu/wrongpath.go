@@ -25,50 +25,50 @@ type wpUndo struct {
 // hardware would: the DDT head pointer rewinds (core.DDT.Rollback) and the
 // rename map, free list and shadow state are restored from the checkpoint.
 // The net effect on simulation state is nil; the value is exercising the
-// recovery machinery under the full pipeline.
+// recovery machinery under the full pipeline. The wrong path is walked
+// through the pre-decoded program text.
 //
 //arvi:hotpath
-//arvi:panicfree decoded registers (SrcRegs, win.Rd, the recorded u.rd) are below isa.NumRegs == len(mapTable); freePop results and saved u.newP are below physRegs == len(meta); the recovery index starts at len(wpUndo)-1 and only decrements
-func (e *Engine) injectWrongPath(ev *vm.Event) {
-	in := ev.Inst
+//arvi:panicfree pre-decoded registers (src, rd, the recorded u.rd) are below isa.NumRegs == len(mapTable) and nsrc is at most len(src) == 2; freePop results and saved u.newP are below physRegs == len(meta); the recovery index starts at len(wpUndo)-1 and only decrements
+func (e *Engine) injectWrongPath(r *vm.Rec, st *pre) {
 	// The wrong path is the direction fetch actually followed: the target
 	// when the branch was really not taken, the fall-through otherwise.
-	wpc := ev.PC + 1
-	if !ev.Taken {
-		wpc = int(in.Imm)
+	wpc := int(r.PC) + 1
+	if !r.Taken {
+		wpc = int(st.imm)
 	}
-	text := e.prog.Text
+	static := e.static
 
 	e.wpUndo = e.wpUndo[:0]
 	inserted := 0
 
-	for k := 0; k < wrongPathBurst && wpc >= 0 && wpc < len(text); k++ {
-		win := text[wpc]
-		if win.Op == isa.OpHalt || e.ddt.Full() {
+	for k := 0; k < wrongPathBurst && wpc >= 0 && wpc < len(static); k++ {
+		w := &static[wpc]
+		if w.op == isa.OpHalt || e.ddt.Full() {
 			break
 		}
-		e.srcRegBuf = win.SrcRegs(e.srcRegBuf[:0])
 		e.srcPregs = e.srcPregs[:0]
-		for _, r := range e.srcRegBuf {
-			e.srcPregs = append(e.srcPregs, e.mapTable[r])
+		for _, lr := range w.src[:w.nsrc] {
+			e.srcPregs = append(e.srcPregs, e.mapTable[lr])
 		}
+		isLoad := w.flags&preLoad != 0
 		dest := core.NoPReg
-		if win.HasDest() {
+		if w.flags&preDest != 0 {
 			if e.freeLen == 0 {
 				break
 			}
 			dest = e.freePop()
 			e.wpUndo = append(e.wpUndo, wpUndo{
-				rd: win.Rd, newP: dest, oldP: e.mapTable[win.Rd],
+				rd: w.rd, newP: dest, oldP: e.mapTable[w.rd],
 				savedMeta: e.meta[dest],
 			})
-			e.mapTable[win.Rd] = dest
+			e.mapTable[w.rd] = dest
 			// A real rename would start tracking the new producer; give
 			// the recovery something to undo.
-			e.meta[dest].logical = uint8(win.Rd)
-			e.meta[dest].isLoad = win.IsLoad()
+			e.meta[dest].logical = uint8(w.rd)
+			e.meta[dest].isLoad = isLoad
 		}
-		if _, err := e.ddt.Insert(dest, e.srcPregs, win.IsLoad()); err != nil {
+		if _, err := e.ddt.Insert(dest, e.srcPregs, isLoad); err != nil {
 			//arvi:cold invariant trap; the loop breaks before the table fills
 			panic("cpu: wrong-path DDT insert failed: " + err.Error())
 		}
@@ -77,10 +77,10 @@ func (e *Engine) injectWrongPath(ev *vm.Event) {
 		// Follow the wrong path through unconditional direct jumps; stop
 		// at anything whose target we cannot know statically.
 		switch {
-		case win.Op == isa.OpJ || win.Op == isa.OpJal:
-			wpc = int(win.Imm)
-		case win.Op == isa.OpJr:
-			wpc = len(text) // terminate
+		case w.op == isa.OpJ || w.op == isa.OpJal:
+			wpc = int(w.imm)
+		case w.op == isa.OpJr:
+			wpc = len(static) // terminate
 		default:
 			wpc++
 		}

@@ -231,11 +231,18 @@ func (t *TLB) Misses() int64 { return t.cache.Misses }
 //arvi:hotpath
 func (t *TLB) Reset() { t.cache.Reset() }
 
-// Hierarchy bundles the full Table 2 memory system.
+// Hierarchy bundles the full Table 2 memory system. FetchAccess is the
+// only user of L1I and ITLB: its same-line fast path relies on it.
 type Hierarchy struct {
 	L1I, L1D, L2 *Cache
 	ITLB, DTLB   *TLB
 	MemLat       int // main-memory latency in cycles
+
+	// lastFetch is 1 + the L1I line number FetchAccess looked up last, or
+	// 0 when a repeat of that lookup may not be a pure hit (after Reset,
+	// or with a single-set L1I, where the next-line prefetch could evict
+	// the line itself).
+	lastFetch uint64
 }
 
 // Latencies groups the pipeline-depth-dependent latency knobs; see Table 2
@@ -294,9 +301,26 @@ func (h *Hierarchy) DataAccess(addr uint64) int {
 // A next-line prefetcher installs the sequentially following line so that
 // straight-line code pays the miss latency only on fetch redirects.
 //
+// A fetch from the line looked up last only moves the ITLB and L1I hit
+// counters. That is exactly what the full lookup would do: the last
+// lookup left the line's page and the line itself most recently used,
+// nothing else touches the ITLB or the L1I, so a repeat touch changes no
+// replacement state; and the next-line install, already present, cannot
+// have evicted the line while the L1I has more than one set.
+//
 //arvi:hotpath
 func (h *Hierarchy) FetchAccess(pc int) int {
 	addr := uint64(pc) << 3
+	line := addr >> h.L1I.lineBits
+	if line+1 == h.lastFetch {
+		h.ITLB.cache.Hits++
+		h.L1I.Hits++
+		return 0
+	}
+	h.lastFetch = 0
+	if h.L1I.sets > 1 {
+		h.lastFetch = line + 1
+	}
 	lat := h.ITLB.Access(addr)
 	h.L1I.Install(addr + uint64(h.L1I.LineB)) // next-line prefetch
 	if h.L1I.Access(addr) {
@@ -312,6 +336,7 @@ func (h *Hierarchy) FetchAccess(pc int) int {
 //
 //arvi:hotpath
 func (h *Hierarchy) Reset() {
+	h.lastFetch = 0
 	h.L1I.Reset()
 	h.L1D.Reset()
 	h.L2.Reset()

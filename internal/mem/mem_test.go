@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -139,5 +141,116 @@ func TestQuickCacheCoherentCounts(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// fullFetch is FetchAccess without its same-line fast path: every fetch
+// does the ITLB lookup, the next-line install and the L1I lookup.
+func fullFetch(h *Hierarchy, pc int) int {
+	addr := uint64(pc) << 3
+	lat := h.ITLB.Access(addr)
+	h.L1I.Install(addr + uint64(h.L1I.LineB))
+	if h.L1I.Access(addr) {
+		return lat
+	}
+	if h.L2.Access(addr) {
+		return lat + h.L2.HitLat
+	}
+	return lat + h.L2.HitLat + h.MemLat
+}
+
+// sameCache reports how a and b differ in counters or, when contents is
+// set, in contents; "" when they agree.
+func sameCache(a, b *Cache, contents bool) string {
+	switch {
+	case a.Hits != b.Hits || a.Misses != b.Misses:
+		return "hit/miss counts"
+	case !contents:
+		return ""
+	case !slices.Equal(a.tags, b.tags):
+		return "tags"
+	case !slices.Equal(a.lru, b.lru):
+		return "lru"
+	case !slices.Equal(a.valid, b.valid):
+		return "valid"
+	}
+	return ""
+}
+
+// TestFetchMatchesFullLookup drives random pc walks through FetchAccess
+// and through the full lookup on a twin hierarchy, and requires the same
+// latency, counters and ITLB/L1I contents after every step. The walks mix
+// straight-line runs, taken branches, returns to earlier lines, 8 KiB
+// page crossings, data accesses (which share the L2) and resets, on the
+// Table 2 hierarchy and on one whose single-set L1I the next-line
+// prefetch can evict from under a repeated fetch.
+func TestFetchMatchesFullLookup(t *testing.T) {
+	lat := LatenciesForDepth(20)
+	oneSet := func() *Hierarchy {
+		h := NewHierarchy(lat)
+		h.L1I = MustNewCache("l1i", 2*32, 2, 32, lat.L1Hit)
+		h.ITLB = MustNewTLB("itlb", 4, 2, 8<<10, lat.TLBMis)
+		return h
+	}
+	for _, geom := range []struct {
+		name string
+		new  func() *Hierarchy
+	}{
+		{"table2", func() *Hierarchy { return NewHierarchy(lat) }},
+		{"one-set-l1i", oneSet},
+	} {
+		rng := rand.New(rand.NewSource(26))
+		fast, full := geom.new(), geom.new()
+		pc, back, last := 0, 0, -1
+		repeats, slow := 0, 0
+		for step := 0; step < 50_000; step++ {
+			switch r := rng.Intn(100); {
+			case r < 70: // straight line
+				pc++
+			case r < 80: // taken branch anywhere, across ITLB reach
+				back = pc
+				pc = rng.Intn(1 << 18)
+			case r < 88: // return to the line a branch left
+				pc = back + rng.Intn(4)
+			case r < 94: // a short loop back
+				pc = max(pc-rng.Intn(24), 0)
+			case r < 98: // the next 8 KiB page (1024 instructions)
+				pc += 1024 - pc%1024 + rng.Intn(8)
+			case r < 99:
+				a := uint64(rng.Intn(1 << 22))
+				fast.DataAccess(a)
+				full.DataAccess(a)
+			default:
+				fast.Reset()
+				full.Reset()
+			}
+			if pc/4 == last/4 {
+				repeats++ // four 8-byte instructions per 32-byte line
+			}
+			last = pc
+			got, want := fast.FetchAccess(pc), fullFetch(full, pc)
+			if want > 0 {
+				slow++
+			}
+			if got != want {
+				t.Fatalf("%s step %d pc %d: latency %d, full lookup %d", geom.name, step, pc, got, want)
+			}
+			for _, c := range []struct {
+				name     string
+				a, b     *Cache
+				contents bool
+			}{
+				{"itlb", fast.ITLB.cache, full.ITLB.cache, true},
+				{"l1i", fast.L1I, full.L1I, true},
+				{"l2", fast.L2, full.L2, false},
+			} {
+				if d := sameCache(c.a, c.b, c.contents); d != "" {
+					t.Fatalf("%s step %d pc %d: %s %s differ from the full lookup's", geom.name, step, pc, c.name, d)
+				}
+			}
+		}
+		if repeats == 0 || slow == 0 {
+			t.Errorf("%s: the walk made %d same-line fetches and %d slow ones; it needs both", geom.name, repeats, slow)
+		}
 	}
 }

@@ -43,7 +43,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded trace failed to decode: %v", err)
 		}
-		if !slices.Equal(events(back), events(d)) {
+		if !slices.Equal(records(t, back), records(t, d)) {
 			t.Fatalf("round trip changed the trace: %d events back from %d", back.Len(), d.Len())
 		}
 	})

@@ -1,27 +1,17 @@
 package trace
 
 import (
-	"io"
 	"unsafe"
 
+	"repro/internal/isa"
 	"repro/internal/prog"
 	"repro/internal/vm"
 )
 
-// rec is the in-memory decoded form of one trace record. Static
-// instruction bits are not stored — they are recovered from the program
-// text when a cursor materialises the event — so a decoded trace costs
-// ~32 bytes per dynamic instruction.
-type rec struct {
-	addr  uint64
-	val   int64
-	pc    uint32
-	next  uint32
-	taken bool
-}
-
-// recBytes is the in-memory footprint of one decoded record.
-const recBytes = int64(unsafe.Sizeof(rec{}))
+// recBytes is the in-memory footprint of one record. Static instruction
+// bits are not stored (they are the program text at the record's pc), so
+// a decoded trace costs 32 bytes per dynamic instruction.
+const recBytes = int64(unsafe.Sizeof(vm.Rec{}))
 
 // Decoded is a fully decoded trace held in memory. The record slice is
 // immutable after construction, so any number of goroutines may replay the
@@ -29,11 +19,11 @@ const recBytes = int64(unsafe.Sizeof(rec{}))
 // re-decoding.
 type Decoded struct {
 	prog *prog.Program
-	recs []rec
+	recs []vm.Rec
 }
 
-// preallocCap bounds speculative record-slice preallocation (4M records =
-// 128 MiB): budgets and header counts are hints, not trusted sizes, and a
+// preallocCap bounds RecordAll's speculative record-slice preallocation
+// (4M records = 128 MiB): a budget is a hint, not a trusted size, and a
 // program may halt long before its budget.
 const preallocCap = 4 << 20
 
@@ -42,14 +32,11 @@ const preallocCap = 4 << 20
 func RecordAll(p *prog.Program, max int64) (*Decoded, error) {
 	d := &Decoded{prog: p}
 	if max > 0 {
-		d.recs = make([]rec, 0, min(max, preallocCap))
+		d.recs = make([]vm.Rec, 0, min(max, preallocCap))
 	}
 	machine := vm.New(p)
 	if _, err := machine.Run(max, func(ev *vm.Event) error {
-		d.recs = append(d.recs, rec{
-			addr: ev.Addr, val: ev.Val,
-			pc: uint32(ev.PC), next: uint32(ev.NextPC), taken: ev.Taken,
-		})
+		d.recs = append(d.recs, ev.Rec())
 		return nil
 	}); err != nil {
 		return nil, err
@@ -67,39 +54,41 @@ func (d *Decoded) Len() int64 { return int64(len(d.recs)) }
 //arvi:hotpath
 func (d *Decoded) Prog() *prog.Program { return d.prog }
 
+// Halted reports whether the trace ends with the program halting, as
+// opposed to being cut short by a budget.
+func (d *Decoded) Halted() bool {
+	n := len(d.recs)
+	return n > 0 && d.prog.Text[d.recs[n-1].PC].Op == isa.OpHalt
+}
+
 // MemBytes estimates the resident size of the decoded record store; the
 // trace store's memory budget is accounted in these units.
 func (d *Decoded) MemBytes() int64 { return int64(len(d.recs)) * recBytes }
 
-// Cursor iterates a Decoded trace as a cpu.EventSource. Cursors are cheap;
+// Cursor reads a Decoded trace as a cpu.EventSource. Cursors are cheap;
 // create one per replaying goroutine.
 type Cursor struct {
 	d *Decoded
-	i int64
+	i int // records already returned
 }
 
-// Cursor returns a fresh iterator positioned at the first event.
+// Cursor returns a fresh cursor positioned at the first record.
 func (d *Decoded) Cursor() *Cursor { return &Cursor{d: d} }
 
-// Next fills ev with the next event, returning io.EOF at the end of the
-// trace. It implements cpu.EventSource.
+// NextChunk returns the next at most n records as a sub-slice of the
+// trace's own record array, with no copy; the chunk is empty once every
+// record has been returned. It implements cpu.EventSource, and never
+// fails. The caller must not modify the records; the chunk's capacity
+// ends with it, so an append cannot reach the records after it.
 //
 //arvi:hotpath
-//arvi:panicfree c.i starts at 0 and only increments, and record pcs were validated against len(prog.Text) at decode time
-func (c *Cursor) Next(ev *vm.Event) error {
-	if c.i >= int64(len(c.d.recs)) {
-		return io.EOF
+//arvi:panicfree c.i starts at 0 and only moves to end, which lies in [c.i, len(recs)]
+func (c *Cursor) NextChunk(n int) ([]vm.Rec, error) {
+	end := len(c.d.recs)
+	if n < end-c.i {
+		end = c.i + max(n, 0)
 	}
-	r := &c.d.recs[c.i]
-	*ev = vm.Event{
-		Seq:    c.i,
-		PC:     int(r.pc),
-		Inst:   c.d.prog.Text[r.pc],
-		NextPC: int(r.next),
-		Taken:  r.taken,
-		Addr:   r.addr,
-		Val:    r.val,
-	}
-	c.i++
-	return nil
+	chunk := c.d.recs[c.i:end:end]
+	c.i = end
+	return chunk, nil
 }

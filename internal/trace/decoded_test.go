@@ -14,25 +14,21 @@ import (
 )
 
 // TestRecordAllMatchesStreamedRecord pins RecordAll's in-memory trace to
-// the event stream a VM run hands its callback: every field a trace keeps,
-// with each event's static instruction recovered from the program text.
+// the event stream a VM run hands its callback: every field a trace keeps.
 func TestRecordAllMatchesStreamedRecord(t *testing.T) {
 	p := asm.MustAssemble("loop", loopSrc)
 	dec, err := RecordAll(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stream []vm.Event
+	var stream []vm.Rec
 	if _, err := vm.New(p).Run(0, func(ev *vm.Event) error {
-		stream = append(stream, vm.Event{
-			Seq: ev.Seq, PC: ev.PC, Inst: ev.Inst, NextPC: ev.NextPC,
-			Taken: ev.Taken, Addr: ev.Addr, Val: ev.Val,
-		})
+		stream = append(stream, ev.Rec())
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := events(dec); !slices.Equal(got, stream) {
+	if got := records(t, dec); !slices.Equal(got, stream) {
 		t.Fatalf("RecordAll's %d events differ from the VM's %d streamed events", len(got), len(stream))
 	}
 }
@@ -62,7 +58,7 @@ func TestDecodedWriteToRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(events(back), events(dec)) {
+	if !slices.Equal(records(t, back), records(t, dec)) {
 		t.Fatalf("round trip changed the trace: %d events back from %d", back.Len(), dec.Len())
 	}
 }
@@ -132,5 +128,27 @@ func TestDecodedMemBytes(t *testing.T) {
 	}
 	if dec.Prog() != p {
 		t.Error("Prog identity lost")
+	}
+}
+
+// TestHalted pins Halted to the trace's last record: a run to the halt
+// ends with it, a budget that stops short does not, and neither does an
+// empty trace.
+func TestHalted(t *testing.T) {
+	p := asm.MustAssemble("loop", loopSrc)
+	for _, tc := range []struct {
+		max  int64
+		want bool
+	}{{0, true}, {100, false}} {
+		d, err := RecordAll(p, tc.max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Halted(); got != tc.want {
+			t.Errorf("RecordAll(-n %d).Halted() = %v, want %v", tc.max, got, tc.want)
+		}
+	}
+	if (&Decoded{prog: p}).Halted() {
+		t.Error("an empty trace reports a halt")
 	}
 }

@@ -7,9 +7,10 @@
 //
 // A trace file stores, per retired instruction, the PC, the architectural
 // next PC, the branch outcome, the effective address and the result
-// value — everything cpu.EventSource needs; the static instruction is
-// recovered from the program text at read time, so traces stay compact
-// and a trace is only valid together with the program that produced it.
+// value: one vm.Rec, the 32-byte record the timing model reads. The
+// static instruction is the program text at the PC, so traces stay
+// compact and a trace is only valid together with the program that
+// produced it.
 //
 // The header binds a trace to its program: it carries the program's
 // content fingerprint (prog.Fingerprint), so replaying against the wrong
@@ -20,10 +21,14 @@
 // reads the EOF-terminated traces (count ^0) that earlier builds streamed
 // to pipes.
 //
-// A trace has one form in memory, Decoded, and one codec: RecordAll
-// executes a program on the functional VM and returns its trace,
-// Decoded.WriteTo writes the file, and Decode reads and validates a whole
-// file back. A Decoded's Cursor values are independent lock-free replay
-// positions — the form sim.TraceStore keeps resident so concurrent timing
-// runs share one immutable decoded trace.
+// A trace has one form in memory, Decoded, a slice of vm.Rec, and one
+// codec: RecordAll executes a program on the functional VM and returns
+// its trace, Decoded.WriteTo writes the file, and Decode reads and
+// validates a whole file back, growing its records as they arrive rather
+// than trusting the header's count to size them. A Decoded's Cursor
+// values are independent lock-free replay positions that implement
+// cpu.EventSource: each chunk they return is a sub-slice of the shared
+// record array, read in place with no copy. That is the form
+// sim.TraceStore keeps resident so concurrent timing runs share one
+// immutable decoded trace.
 package trace

@@ -9,6 +9,7 @@ import (
 	"io"
 
 	"repro/internal/prog"
+	"repro/internal/vm"
 )
 
 // magic identifies the trace format (version 2: fingerprint + count header).
@@ -50,14 +51,14 @@ func (d *Decoded) WriteTo(w io.Writer) (int64, error) {
 	var b [recordSize]byte
 	for i := range d.recs {
 		r := &d.recs[i]
-		binary.LittleEndian.PutUint32(b[0:], r.pc)
-		binary.LittleEndian.PutUint32(b[4:], r.next)
+		binary.LittleEndian.PutUint32(b[0:], r.PC)
+		binary.LittleEndian.PutUint32(b[4:], r.Next)
 		b[8] = 0
-		if r.taken {
+		if r.Taken {
 			b[8] = 1
 		}
-		binary.LittleEndian.PutUint64(b[9:], r.addr)
-		binary.LittleEndian.PutUint64(b[17:], uint64(r.val))
+		binary.LittleEndian.PutUint64(b[9:], r.Addr)
+		binary.LittleEndian.PutUint64(b[17:], uint64(r.Val))
 		if _, err := bw.Write(b[:]); err != nil {
 			return n, err
 		}
@@ -89,16 +90,13 @@ func Decode(p *prog.Program, r io.Reader) (*Decoded, error) {
 		return nil, fmt.Errorf("trace: program mismatch: trace was not recorded from %q", p.Name)
 	}
 	count := binary.LittleEndian.Uint64(hdr[headerSize-8:])
-	d := &Decoded{prog: p}
-	if count != countUnknown {
-		if count > maxDeclaredRecords {
-			return nil, fmt.Errorf("trace: unreasonable record count %d in header", count)
-		}
-		// The count sizes only a bounded first allocation: a count that
-		// lies about a short file must surface as a truncation error
-		// below, not as an out-of-memory condition here.
-		d.recs = make([]rec, 0, min(count, preallocCap))
+	if count != countUnknown && count > maxDeclaredRecords {
+		return nil, fmt.Errorf("trace: unreasonable record count %d in header", count)
 	}
+	// The record slice grows as records arrive: the header count is not
+	// trusted to size an allocation, so a count that lies about a short
+	// file costs what the file holds and surfaces as a truncation error.
+	d := &Decoded{prog: p}
 	var b [recordSize]byte
 	for seq := uint64(0); count == countUnknown || seq < count; seq++ {
 		_, err := io.ReadFull(br, b[:])
@@ -114,12 +112,12 @@ func Decode(p *prog.Program, r io.Reader) (*Decoded, error) {
 		if uint64(pc) >= uint64(len(p.Text)) {
 			return nil, fmt.Errorf("trace: record %d: pc %d outside program text", seq, pc)
 		}
-		d.recs = append(d.recs, rec{
-			pc:    pc,
-			next:  binary.LittleEndian.Uint32(b[4:]),
-			taken: b[8] != 0,
-			addr:  binary.LittleEndian.Uint64(b[9:]),
-			val:   int64(binary.LittleEndian.Uint64(b[17:])),
+		d.recs = append(d.recs, vm.Rec{
+			PC:    pc,
+			Next:  binary.LittleEndian.Uint32(b[4:]),
+			Taken: b[8] != 0,
+			Addr:  binary.LittleEndian.Uint64(b[9:]),
+			Val:   int64(binary.LittleEndian.Uint64(b[17:])),
 		})
 	}
 	// All declared records read; anything further is corruption.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"slices"
 	"strconv"
 	"testing"
@@ -54,16 +55,25 @@ func withCount(raw []byte, count uint64) []byte {
 	return out
 }
 
-// events replays d through a fresh cursor.
-func events(d *Decoded) []vm.Event {
-	var out []vm.Event
+// records reads d through a fresh cursor, in chunks of at most 7 records
+// so that chunk boundaries fall inside every trace longer than that, and
+// requires every chunk's capacity to end with it.
+func records(t testing.TB, d *Decoded) []vm.Rec {
+	t.Helper()
+	var out []vm.Rec
 	c := d.Cursor()
 	for {
-		var ev vm.Event
-		if c.Next(&ev) != nil {
+		chunk, err := c.NextChunk(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(chunk) == 0 {
 			return out
 		}
-		out = append(out, ev)
+		if len(chunk) > 7 || cap(chunk) != len(chunk) {
+			t.Fatalf("chunk of %d records with capacity %d, asked for at most 7", len(chunk), cap(chunk))
+		}
+		out = append(out, chunk...)
 	}
 }
 
@@ -88,18 +98,16 @@ func TestRecordReplayMatchesLive(t *testing.T) {
 		t.Fatal("empty trace")
 	}
 
-	// Replaying the trace file must yield event-for-event identity with a
-	// live functional run, which it ends with the halt.
+	// Replaying the trace file must yield record-for-record identity with
+	// a live functional run, which it ends with the halt.
 	machine := vm.New(p)
 	var live vm.Event
-	for i, replay := range events(d) {
+	for i, replay := range records(t, d) {
 		if err := machine.Step(&live); err != nil {
 			t.Fatalf("live step %d: %v", i, err)
 		}
-		if replay.PC != live.PC || replay.NextPC != live.NextPC ||
-			replay.Taken != live.Taken || replay.Addr != live.Addr ||
-			replay.Val != live.Val || replay.Seq != live.Seq || replay.Inst != live.Inst {
-			t.Fatalf("event %d mismatch:\nreplay %+v\nlive   %+v", i, replay, live)
+		if replay != live.Rec() {
+			t.Fatalf("record %d mismatch:\nreplay %+v\nlive   %+v", i, replay, live)
 		}
 	}
 	if !machine.Halt {
@@ -173,7 +181,7 @@ func TestReaderRejectsGarbage(t *testing.T) {
 
 	// A record pointing outside the text segment.
 	var buf bytes.Buffer
-	if _, err := (&Decoded{prog: p, recs: []rec{{pc: 0}, {pc: 99}}}).WriteTo(&buf); err != nil {
+	if _, err := (&Decoded{prog: p, recs: []vm.Rec{{PC: 0}, {PC: 99}}}).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	wantDecodeErr(t, "pc 99", p, buf.Bytes(), "trace: record 1: pc 99 outside program text")
@@ -238,7 +246,7 @@ func TestDecodeReadsEOFTerminatedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := events(got), events(want); len(a) != 100 || !slices.Equal(a, b) {
+	if a, b := records(t, got), records(t, want); len(a) != 100 || !slices.Equal(a, b) {
 		t.Fatalf("EOF-terminated trace decoded %d events unlike its counted form's %d", len(a), len(b))
 	}
 	if d, err := Decode(prg, bytes.NewReader(open[:headerSize+10*recordSize])); err != nil || d.Len() != 10 {
@@ -264,6 +272,25 @@ func TestReaderRejectsCorruptCount(t *testing.T) {
 	// A lying-but-plausible count must surface as truncation, not OOM.
 	wantDecodeErr(t, "lying count", prg, withCount(raw, 1<<24),
 		"trace: truncated: 100 of 16777216 declared records")
+}
+
+// TestDecodeLyingCountAllocatesLittle pins that the header count does not
+// size an allocation: a 48-byte file, all header, that claims 2^22
+// records costs what the file holds to reject, not 2^22 records' worth
+// (128 MiB).
+func TestDecodeLyingCountAllocatesLittle(t *testing.T) {
+	prg := asm.MustAssemble("loop", loopSrc)
+	raw := withCount(encode(t, prg, 0)[:headerSize], 1<<22)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(prg, bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if want := "trace: truncated: 0 of 4194304 declared records"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("decoding a %d-byte file allocated %d bytes, want under 1 MiB", len(raw), got)
+	}
 }
 
 // failingWriter accepts limit bytes, then fails every write.

@@ -1,9 +1,10 @@
 // Package vm implements the architectural (functional) simulator for the
 // ISA. It executes a program in program order and produces the dynamic
 // instruction trace the timing core replays: one Event per retired
-// instruction carrying operand/result values, memory addresses and branch
-// outcomes. The VM is the oracle: the ARVI "perfect value" configuration and
-// the load-back disambiguation checks read values from these events.
+// instruction carrying its result value, memory address and branch
+// outcome, and the 32-byte Rec a trace keeps of it. The VM is the oracle:
+// the ARVI "perfect value" configuration and the load-back
+// disambiguation checks read values from these records.
 package vm
 
 import (
@@ -99,19 +100,33 @@ func (m *Memory) LoadImage(base uint64, data []byte) {
 // Pages reports how many distinct pages have been touched.
 func (m *Memory) Pages() int { return len(m.pages) }
 
-// Event describes one dynamically executed (retired) instruction. It is the
-// unit of the trace consumed by the timing core.
+// Event describes one dynamically executed (retired) instruction, with
+// its decoded static instruction.
 type Event struct {
-	Seq    int64      // dynamic instruction number, starting at 0
-	PC     int        // instruction index
-	Inst   isa.Inst   // the decoded instruction
-	NextPC int        // architectural next PC (fall-through or target)
-	Taken  bool       // for conditional branches: outcome
-	Addr   uint64     // effective address for loads/stores
-	Val    int64      // result value written to Rd (loads: loaded value)
-	Src    [2]int64   // source operand values read (by SrcRegs order)
-	SrcReg [2]isa.Reg // which logical registers Src came from
-	NSrc   int
+	Seq    int64    // dynamic instruction number, starting at 0
+	PC     int      // instruction index
+	Inst   isa.Inst // the decoded instruction
+	NextPC int      // architectural next PC (fall-through or target)
+	Taken  bool     // for conditional branches: outcome
+	Addr   uint64   // effective address for loads/stores
+	Val    int64    // result value written to Rd (loads: loaded value)
+}
+
+// Rec is one retired instruction as a trace stores it and the timing
+// core reads it: 32 bytes. The static instruction is not kept; it is the
+// program text at PC, and the dynamic instruction number is the record's
+// position in its trace.
+type Rec struct {
+	Addr  uint64 // effective address for loads/stores
+	Val   int64  // result value written to Rd (stores: the stored value)
+	PC    uint32 // instruction index
+	Next  uint32 // architectural next PC
+	Taken bool   // for conditional branches: outcome
+}
+
+// Rec returns the event's trace record.
+func (ev *Event) Rec() Rec {
+	return Rec{Addr: ev.Addr, Val: ev.Val, PC: uint32(ev.PC), Next: uint32(ev.NextPC), Taken: ev.Taken}
 }
 
 // VM is the architectural simulator state.
@@ -159,15 +174,6 @@ func (v *VM) Step(ev *Event) error {
 	}
 	in := v.Prog.Text[v.PC]
 	*ev = Event{Seq: v.Seq, PC: v.PC, Inst: in, NextPC: v.PC + 1}
-
-	// Record source operands.
-	var srcBuf [2]isa.Reg
-	srcs := in.SrcRegs(srcBuf[:0])
-	ev.NSrc = len(srcs)
-	for k, r := range srcs {
-		ev.SrcReg[k] = r
-		ev.Src[k] = v.Regs[r]
-	}
 
 	r1, r2 := v.Regs[in.Rs1], v.Regs[in.Rs2]
 	setRd := func(val int64) {

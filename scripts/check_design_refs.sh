@@ -78,6 +78,9 @@ cite "DESIGN\\.md.s flow-sensitive contracts section" \
 cite "DESIGN\\.md.s incremental RSE maintenance section" \
      '^## Incremental RSE maintenance( |$)' \
      'incremental RSE maintenance (aggregate invariant, delta rules, rollback coherence)'
+cite "DESIGN\\.md.s replay loop section" \
+     '^## Replay loop( |$)' \
+     'replay loop (chunk contract, records in place, pre-decode, rings, same-line fetch, stale width, store scan)'
 cite "DESIGN\\.md.s Section 3 window section" \
      '^## Section 3 window( |$)' \
      'Section 3 window (wtrace.Window: register count, free-list order, users)'
@@ -93,7 +96,7 @@ cite "DESIGN\\.md.s distributed execution section" \
 # line, so the preceding line is consulted too), so new citation styles
 # get a row in the table above instead of silently passing — even in a
 # file that already carries a recognised citation.
-known='per-experiment index|ablation A1|ablation A2|ablation discussed in DESIGN|DESIGN\.md: StalePhysical|substitution argument|documents our choice|wrong-path pollution|as the paper sizes it; see DESIGN|CutAtLoads selects the DDT chain ablation|static contracts section|flow-sensitive contracts section|incremental RSE maintenance section|Section 3 window section|failure domains section|distributed execution section|DESIGN\.md references|resolve to a real section|resolves to an existing section|cited anchor|missing DESIGN\.md'
+known='per-experiment index|ablation A1|ablation A2|ablation discussed in DESIGN|DESIGN\.md: StalePhysical|substitution argument|documents our choice|wrong-path pollution|as the paper sizes it; see DESIGN|CutAtLoads selects the DDT chain ablation|static contracts section|flow-sensitive contracts section|incremental RSE maintenance section|replay loop section|Section 3 window section|failure domains section|distributed execution section|DESIGN\.md references|resolve to a real section|resolves to an existing section|cited anchor|missing DESIGN\.md'
 grep -rlE --include='*.go' --include='*.md' 'DESIGN\.md' . \
         --exclude-dir=.git --exclude=DESIGN.md 2>/dev/null |
 while IFS= read -r f; do
