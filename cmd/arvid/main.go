@@ -24,7 +24,6 @@
 //	arvid -role worker -addr :8745                         # a worker node
 //	arvid -role coordinator \
 //	      -workers-list http://h1:8745,http://h2:8745      # fan sweeps out
-//	arvid -cache-peers http://h2:8745 -cache-push          # warm peer caches
 //
 // A coordinator decomposes every sweep — /v1/matrix, /v1/study/* and
 // /v1/artifacts/* — into per-cell jobs keyed by the result cache's own
@@ -32,12 +31,11 @@
 // and merges answers byte-identically to a single-node run; it answers a
 // job its own cache holds without a worker and keeps every worker answer
 // there. A single /v1/run is the worker job itself and runs where it
-// lands. Worker and peer URLs must be absolute http(s) with a host and
-// no query or fragment (exit status 2 otherwise). -cache-peers
-// lets any daemon with a -cache serve local cache misses from its peers'
-// caches over GET/PUT /v1/cache/{key}; -cache-push needs -cache-peers.
-// -workers-list and the -dist-* flags apply only to -role coordinator. A
-// negative count or duration flag is a usage error too.
+// lands. A daemon's cache serves only that daemon: a coordinator in
+// front is the one way to share results across daemons. Worker URLs must
+// be absolute http(s) with a host and no query or fragment (exit status
+// 2 otherwise). -workers-list and the -dist-* flags apply only to -role
+// coordinator. A negative count or duration flag is a usage error too.
 //
 //	curl localhost:8744/healthz
 //	curl localhost:8744/v1/bench
@@ -61,7 +59,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -69,7 +66,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 func fail(err error) {
@@ -95,8 +91,6 @@ func main() {
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request simulation deadline; past it the request gets 504 (0 = no timeout)")
 	role := flag.String("role", "solo", "daemon role: solo (compute everything locally), worker (a solo node a coordinator fans jobs to), or coordinator (distribute sweeps to -workers-list)")
 	workersList := flag.String("workers-list", "", "comma-separated worker base URLs for the coordinator role (more can join via POST /v1/workers)")
-	cachePeers := flag.String("cache-peers", "", "comma-separated peer daemon base URLs to serve local cache misses from (GET /v1/cache; needs -cache)")
-	cachePush := flag.Bool("cache-push", false, "also replicate freshly computed cache entries to -cache-peers (PUT /v1/cache; needs -cache-peers)")
 	distRetries := flag.Int("dist-retries", 0, "extra workers a failed job is offered before local fallback (0 = default)")
 	distBackoff := flag.Duration("dist-backoff", 0, "delay before a job's first retry, doubling per retry (0 = default)")
 	distTimeout := flag.Duration("dist-timeout", 0, "per-job HTTP timeout for coordinator->worker calls (0 = default)")
@@ -117,17 +111,11 @@ func main() {
 	}
 	// The base-URL rule (and its message) is POST /v1/workers' too; see
 	// internal/sim/validate.go.
-	workerURLs, peerURLs := splitList(*workersList), splitList(*cachePeers)
-	for _, u := range slices.Concat(workerURLs, peerURLs) {
+	workerURLs := splitList(*workersList)
+	for _, u := range workerURLs {
 		if err := sim.ValidateBaseURL(u); err != nil {
 			usage(err)
 		}
-	}
-	if len(peerURLs) > 0 && *cacheDir == "" {
-		usage(errors.New("-cache-peers only applies with a result cache (-cache)"))
-	}
-	if *cachePush && len(peerURLs) == 0 {
-		usage(errors.New("-cache-push only applies with -cache-peers"))
 	}
 
 	if *maxInsts <= 0 {
@@ -156,9 +144,6 @@ func main() {
 		c, err := sim.OpenCache(*cacheDir)
 		if err != nil {
 			fail(err)
-		}
-		if len(peerURLs) > 0 {
-			c.SetPeers(storage.NewPeerKV(peerURLs, nil), *cachePush)
 		}
 		eng.Cache = c
 	}
@@ -222,7 +207,7 @@ func main() {
 }
 
 // splitList splits a comma-separated URL list, dropping empty elements
-// (so a trailing comma or an unset flag is not a phantom peer).
+// (so a trailing comma or an unset flag is not a phantom worker).
 func splitList(s string) []string {
 	var out []string
 	for _, p := range strings.Split(s, ",") {

@@ -27,13 +27,12 @@ func TestMain(m *testing.M) {
 
 // TestUsageFlagsRejected pins flag values arvid must refuse before any
 // store is opened or any port bound: a usage error (exit 2) carrying the
-// shared validator's own message. -workers-list and -cache-peers follow
-// the base-URL rule POST /v1/workers applies (an http(s) scheme and a
-// host, no query or fragment); -trace-mem must be a budget the trace
-// store can honour, and a count or duration flag must not be negative,
-// rather than be silently read as its default. Peers need a result cache
-// to fill, -cache-push needs peers, and the -dist-* retry knobs need
-// -role coordinator, the only role that reads them. Each run has a
+// shared validator's own message. -workers-list follows the base-URL
+// rule POST /v1/workers applies (an http(s) scheme and a host, no query
+// or fragment); -trace-mem must be a budget the trace store can honour,
+// and a count or duration flag must not be negative, rather than be
+// silently read as its default. The -dist-* retry knobs need -role
+// coordinator, the only role that reads them. Each run has a
 // deadline, so a value that is wrongly accepted fails the case instead of
 // hanging the test on a serving daemon.
 func TestUsageFlagsRejected(t *testing.T) {
@@ -45,8 +44,6 @@ func TestUsageFlagsRejected(t *testing.T) {
 		{[]string{"-role", "coordinator", "-workers-list", "localhost:8751"}, sim.ValidateBaseURL("localhost:8751")},
 		{[]string{"-role", "coordinator", "-workers-list", "http://127.0.0.1:8751,ftp://h:1"}, sim.ValidateBaseURL("ftp://h:1")},
 		{[]string{"-role", "coordinator", "-workers-list", "http://h:1/?x=1"}, sim.ValidateBaseURL("http://h:1/?x=1")},
-		{[]string{"-cache-peers", "http://h:1#frag"}, sim.ValidateBaseURL("http://h:1#frag")},
-		{[]string{"-cache-peers", "h:1"}, sim.ValidateBaseURL("h:1")},
 		{[]string{"-trace-mem", "-1"}, sim.ValidateTraceMem(-1)},
 		{[]string{"-trace-mem", tooBig}, sim.ValidateTraceMem(math.MaxInt64>>20 + 1)},
 		{[]string{"-request-timeout", "-1s"}, sim.ValidateNonNegative("-request-timeout", -time.Second)},
@@ -55,9 +52,6 @@ func TestUsageFlagsRejected(t *testing.T) {
 		{[]string{"-role", "coordinator", "-dist-retries", "-1"}, sim.ValidateNonNegative("-dist-retries", -1)},
 		{[]string{"-role", "coordinator", "-dist-backoff", "-1s"}, sim.ValidateNonNegative("-dist-backoff", -time.Second)},
 		{[]string{"-role", "coordinator", "-dist-timeout", "-1s"}, sim.ValidateNonNegative("-dist-timeout", -time.Second)},
-		{[]string{"-cache-peers", "http://127.0.0.1:8751"}, errors.New("-cache-peers only applies with a result cache (-cache)")},
-		{[]string{"-cache-peers", "http://127.0.0.1:8751", "-cache-push"}, errors.New("-cache-peers only applies with a result cache (-cache)")},
-		{[]string{"-cache-push"}, errors.New("-cache-push only applies with -cache-peers")},
 		{[]string{"-dist-retries", "3"}, errors.New("-dist-retries only applies to -role coordinator")},
 		{[]string{"-role", "worker", "-dist-backoff", "1s"}, errors.New("-dist-backoff only applies to -role coordinator")},
 		{[]string{"-dist-timeout", "5s"}, errors.New("-dist-timeout only applies to -role coordinator")},

@@ -59,7 +59,7 @@ type Coordinator struct {
 	// reports its joined worker errors). Its Cache, when set, is the
 	// coordinator's own: a job whose cells it holds is answered from it
 	// without a worker, and every checked worker answer is kept in it
-	// (its local tier only, never a peer; see job.run).
+	// (see job.run).
 	Local *sim.Engine
 	// Client issues worker requests; nil means a client with a 60-second
 	// timeout. Per-request contexts still apply, so a canceled sweep
@@ -438,13 +438,13 @@ func (j job[A]) run(ctx context.Context, c *Coordinator, cache *sim.Cache) (A, e
 	return answer, nil
 }
 
-// cache returns the local tier of the Local engine's result cache, the
-// one the jobs look aside into and keep answers in; nil without one.
+// cache returns the Local engine's result cache, the one the jobs look
+// aside into and keep answers in; nil without one.
 func (c *Coordinator) cache() *sim.Cache {
-	if c.Local == nil || c.Local.Cache == nil {
+	if c.Local == nil {
 		return nil
 	}
-	return c.Local.Cache.Local()
+	return c.Local.Cache
 }
 
 // runJobs runs the jobs on sim's bounded pool (at most inflightPerProc ×

@@ -46,19 +46,16 @@
 // of placement:
 //
 //   - Look-aside. Before placing a job, the coordinator reads each of its
-//     cells from the local tier of that cache (overlay and disk, through
-//     the cache's one decode gate). When every cell is there the job is
-//     answered on the spot: no placement, no request, no simulation, and
-//     no counter moves. A job only partly cached is placed whole. The
-//     peer tier is never asked: placement already reaches the worker
-//     whose cache owns the cell, so a peer read first would only add a
-//     404 hop to every cold cell.
+//     cells from that cache (overlay and disk, through the cache's one
+//     decode gate). When every cell is there the job is answered on the
+//     spot: no placement, no request, no simulation, and no counter
+//     moves. A job only partly cached is placed whole.
 //   - Keep. A worker answer that passed the check is stored in the same
-//     local tier, under the keys and as the entry bytes a local run
-//     writes, and never pushed to peers. So the next identical sweep or
-//     artifact is answered by the coordinator alone, and a corrupt kept
-//     entry fails the decode gate, is removed, and its job goes to the
-//     worker again, whose answer is kept anew.
+//     cache, under the keys and as the entry bytes a local run writes.
+//     So the next identical sweep or artifact is answered by the
+//     coordinator alone, and a corrupt kept entry fails the decode gate,
+//     is removed, and its job goes to the worker again, whose answer is
+//     kept anew.
 //
 // A coordinator with no Local engine, or one without a cache, places
 // every job.
@@ -82,7 +79,7 @@
 // distributed output byte-for-byte against single-node output.
 //
 // See DESIGN.md's distributed execution section for the full contract,
-// including the cache-peer protocol (internal/storage.PeerKV) that lets
-// workers warm each other's caches, and the chunked-JSON streaming
-// format (wire.go) for incremental matrix results.
+// including why a coordinator in front is the one way daemons share
+// results, and the chunked-JSON streaming format (wire.go) for
+// incremental matrix results.
 package dist

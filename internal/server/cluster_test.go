@@ -6,8 +6,9 @@ package server
 // suites here pin the distribution tentpole's headline contract — a
 // distributed sweep's merged JSON is byte-identical to the single-node
 // rendering, cold and warm — plus worker registration, streaming, and
-// the cache-peer protocol. TestChaosDist* (chaos_dist_test.go) reuses
-// the same harness for the failure-mode half of the story.
+// where a coordinator's own /v1/run is answered from. TestChaosDist*
+// (chaos_dist_test.go) reuses the same harness for the failure-mode half
+// of the story.
 
 import (
 	"bytes"
@@ -18,14 +19,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cpu"
 	"repro/internal/dist"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -391,57 +390,43 @@ func TestClusterKeptEntryHeals(t *testing.T) {
 	assertKeptEntries(t, cl, chaosMatrixCells)
 }
 
-// countingTransport counts the GET and PUT /v1/cache requests it
-// carries.
-type countingTransport struct {
-	gets, puts atomic.Int64
-}
-
-func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	if strings.HasPrefix(r.URL.Path, "/v1/cache/") {
-		switch r.Method {
-		case http.MethodGet:
-			c.gets.Add(1)
-		case http.MethodPut:
-			c.puts.Add(1)
-		}
-	}
-	return http.DefaultTransport.RoundTrip(r)
-}
-
-// TestClusterColdSweepAsksNoPeers gives the coordinator's cache the
-// workers as cache peers, as perfbench's cluster does, in push mode. The
-// look-aside reads the local tier only: placement already reaches the
-// worker whose cache owns a cell, so a cold sweep sends no peer GET
-// /v1/cache at all, and the keep writes locally, so it pushes nothing.
-// A /v1/run of a cell only a worker holds then does use the peer tier,
-// which shows the count is live.
-func TestClusterColdSweepAsksNoPeers(t *testing.T) {
+// TestClusterRunServedFromKeptEntries pins where a coordinator's own
+// /v1/run is answered from. After a cold sweep through the coordinator,
+// a /v1/run of each swept cell is answered from the entries it kept: no
+// job is placed and nothing is simulated anywhere. A daemon's cache
+// serves only that daemon, so a cell only a worker holds (a /v1/run sent
+// to the worker directly) is simulated by the coordinator, exactly once.
+func TestClusterRunServedFromKeptEntries(t *testing.T) {
 	cl := newCluster(t, 2, nil)
-	tr := &countingTransport{}
-	urls := []string{cl.workers[0].ts.URL, cl.workers[1].ts.URL}
-	cl.coord.eng.Cache.SetPeers(storage.NewPeerKV(urls, &http.Client{Transport: tr}), true)
-
 	want := singleNodeBaseline(t, "/v1/matrix", chaosMatrixBody)
 	resp, got := post(t, cl.coord.ts.URL+"/v1/matrix", chaosMatrixBody)
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
 		t.Fatalf("cold sweep drifted (status %d)", resp.StatusCode)
 	}
-	if g, p := tr.gets.Load(), tr.puts.Load(); g != 0 || p != 0 {
-		t.Errorf("cold sweep sent %d peer GET and %d peer PUT /v1/cache requests, want 0 and 0", g, p)
-	}
 	assertKeptEntries(t, cl, chaosMatrixCells)
 
+	cold := cl.snapshot()
+	for _, spec := range sim.MatrixSpecs([]string{"li", "gcc"}, []int{20, 40}, sim.Modes, 5000) {
+		run := fmt.Sprintf(`{"bench":%q,"depth":%d,"mode":%q,"max_insts":5000}`, spec.Bench, spec.Depth, spec.Mode)
+		if resp, b := post(t, cl.coord.ts.URL+"/v1/run", run); resp.StatusCode != http.StatusOK {
+			t.Fatalf("coordinator run %s: status %d: %s", spec, resp.StatusCode, b)
+		}
+	}
+	cl.assertUnchanged(t, "coordinator runs of the swept cells", cold)
+
 	run := `{"bench":"vortex","depth":60,"mode":"baseline","max_insts":5000}`
-	if resp, b := post(t, urls[0]+"/v1/run", run); resp.StatusCode != http.StatusOK {
-		t.Fatalf("worker run: status %d: %s", resp.StatusCode, b)
+	resp, onWorker := post(t, cl.workers[0].ts.URL+"/v1/run", run)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("worker run: status %d: %s", resp.StatusCode, onWorker)
 	}
-	if resp, b := post(t, cl.coord.ts.URL+"/v1/run", run); resp.StatusCode != http.StatusOK {
-		t.Fatalf("coordinator run: status %d: %s", resp.StatusCode, b)
-	}
-	if tr.gets.Load() == 0 || cl.coord.eng.Cache.PeerHits() != 1 || cl.coord.eng.Simulated() != 0 {
-		t.Errorf("run of a worker's cell: %d peer GETs, %d peer hits, %d simulated; want > 0, 1, 0",
-			tr.gets.Load(), cl.coord.eng.Cache.PeerHits(), cl.coord.eng.Simulated())
+	for i := 0; i < 2; i++ {
+		resp, b := post(t, cl.coord.ts.URL+"/v1/run", run)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(b, onWorker) {
+			t.Fatalf("coordinator run %d of the worker's cell drifted (status %d):\n got %s\nwant %s", i, resp.StatusCode, b, onWorker)
+		}
+		if n := cl.coord.eng.Simulated(); n != 1 {
+			t.Errorf("after coordinator run %d of a cell only a worker held, the coordinator simulated %d cells, want 1", i, n)
+		}
 	}
 }
 
@@ -513,8 +498,8 @@ func TestClusterWorkerRegistration(t *testing.T) {
 		}
 	}
 	// A base URL requests cannot be built on is refused with the rule's
-	// message (the -workers-list and -cache-peers flags print it too),
-	// and never joins: a query or fragment would swallow /v1/run.
+	// message (the -workers-list flag prints it too), and never joins: a
+	// query or fragment would swallow /v1/run.
 	for _, bad := range []string{"not a url", "localhost:8751", "ftp://h:1", "http://h:1/?x=1", "http://h:1#frag", "http:///v1"} {
 		resp, b = post(t, cl.coord.ts.URL+"/v1/workers", fmt.Sprintf(`{"url":%q}`, bad))
 		var eb dist.ErrorBody
@@ -554,92 +539,5 @@ func TestClusterWorkerRegistration(t *testing.T) {
 	resp, _ = get(t, extraTS.URL+"/v1/workers")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("solo /v1/workers: status %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestClusterCachePeerProtocol pins the /v1/cache endpoints and the peer
-// tier end to end: a cell computed on daemon A is served by daemon B
-// from A's cache without simulating, junk keys and junk payloads are
-// rejected, a rejected payload never poisons the store, and push mode
-// replicates a fresh entry to the peer as it is computed.
-func TestClusterCachePeerProtocol(t *testing.T) {
-	_, tsA, engA := newTestServer(t, nil)
-	_, tsB, engB := newTestServer(t, nil)
-	engB.Cache.SetPeers(storage.NewPeerKV([]string{tsA.URL}, nil), false)
-
-	body := `{"bench":"m88ksim","depth":20,"mode":"arvi-current","max_insts":5000}`
-	resp, want := post(t, tsA.URL+"/v1/run", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("prime run: status %d: %s", resp.StatusCode, want)
-	}
-
-	// B misses locally, fetches A's entry through the peer tier, and
-	// serves the byte-identical result without simulating.
-	resp, got := post(t, tsB.URL+"/v1/run", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("peer-warmed run: status %d: %s", resp.StatusCode, got)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("peer-warmed run not byte-identical:\n got %s\nwant %s", got, want)
-	}
-	if n := engB.Simulated(); n != 0 {
-		t.Errorf("peer-warmed daemon simulated %d cells, want 0", n)
-	}
-	if engB.Cache.PeerHits() != 1 {
-		t.Errorf("peer hits = %d, want 1", engB.Cache.PeerHits())
-	}
-
-	// Raw endpoint behaviour: junk key shapes are rejected before any
-	// backend is touched; a real miss is a JSON 404.
-	resp, _ = get(t, tsA.URL+"/v1/cache/nothex")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("junk key: status %d, want 400", resp.StatusCode)
-	}
-	missKey := strings.Repeat("ab", 32)
-	resp, _ = get(t, tsA.URL+"/v1/cache/"+missKey)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("miss: status %d, want 404", resp.StatusCode)
-	}
-
-	// PUT validation: a payload whose envelope does not describe the key
-	// it is pushed under is refused, and the store stays clean.
-	req, err := http.NewRequest(http.MethodPut, tsA.URL+"/v1/cache/"+missKey, strings.NewReader(`{"version":99}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	presp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	presp.Body.Close()
-	if presp.StatusCode != http.StatusBadRequest {
-		t.Errorf("junk entry accepted: status %d", presp.StatusCode)
-	}
-	if _, ok := engA.Cache.Raw(missKey); ok {
-		t.Error("rejected peer payload reached the store")
-	}
-
-	// Push direction: a daemon in push mode replicates each fresh entry to
-	// its peer as it computes it, so the peer serves the cell from its own
-	// store — byte-identical, without simulating and without a pull tier.
-	_, tsPush, engPush := newTestServer(t, nil)
-	_, tsRecv, engRecv := newTestServer(t, nil)
-	engPush.Cache.SetPeers(storage.NewPeerKV([]string{tsRecv.URL}, nil), true)
-	resp, want = post(t, tsPush.URL+"/v1/run", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pushing run: status %d: %s", resp.StatusCode, want)
-	}
-	if n := engPush.Cache.PeerPushes(); n != 1 {
-		t.Errorf("peer pushes = %d, want 1", n)
-	}
-	if n, err := engRecv.Cache.Len(); err != nil || n != 1 {
-		t.Fatalf("receiving cache holds %d entries (err %v), want 1", n, err)
-	}
-	resp, got = post(t, tsRecv.URL+"/v1/run", body)
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
-		t.Fatalf("push-warmed run drifted (status %d):\n got %s\nwant %s", resp.StatusCode, got, want)
-	}
-	if n := engRecv.Simulated(); n != 0 {
-		t.Errorf("push-warmed daemon simulated %d cells, want 0", n)
 	}
 }

@@ -1,19 +1,17 @@
 package server
 
-// The distribution-facing endpoints: the streaming matrix variant, the
-// cache-peer protocol, and worker registration. See internal/dist's
-// package comment and DESIGN.md's distributed execution section.
+// The distribution-facing endpoints: the streaming matrix variant and
+// worker registration. See internal/dist's package comment and
+// DESIGN.md's distributed execution section.
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/dist"
 	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 // --- POST /v1/matrix?stream=1 ---------------------------------------------
@@ -66,76 +64,6 @@ func (s *Server) streamMatrix(w http.ResponseWriter, r *http.Request, key string
 	emit(dist.StreamLine{Done: &dist.StreamTrailer{
 		MaxInsts: maxInsts, Cells: len(results), Error: errString(err, ""),
 	}})
-}
-
-// --- GET/PUT /v1/cache/{key} ----------------------------------------------
-
-// cacheFor returns the result cache the peer endpoints serve, or writes
-// the reason there is none.
-func (s *Server) cacheFor(w http.ResponseWriter) (*sim.Cache, bool) {
-	c := s.cfg.Engine.Cache
-	if c == nil {
-		writeError(w, http.StatusNotFound, "this daemon runs without a result cache")
-		return nil, false
-	}
-	return c, true
-}
-
-// handleCacheGet serves one raw cache entry to a peer. The payload is
-// the entry's self-describing bytes; the requesting peer validates them
-// (version, key, checksum) before trusting anything, so this endpoint
-// can stay a dumb byte server.
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !storage.ValidKey(key) {
-		writeError(w, http.StatusBadRequest, "cache key must be 64 lowercase hex digits")
-		return
-	}
-	c, ok := s.cacheFor(w)
-	if !ok {
-		return
-	}
-	b, ok := c.Raw(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, "cache miss")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	// A short write means the peer went away; it will retry or recompute.
-	_, _ = w.Write(b)
-}
-
-// handleCachePut accepts one entry pushed by a peer. The entry's
-// envelope must describe the key it was pushed under (sim.Cache.PutRaw's
-// validation); a malformed or mislabelled payload is rejected before it
-// can touch the store, and even an accepted entry is re-validated by the
-// typed read path before it is ever served.
-func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !storage.ValidKey(key) {
-		writeError(w, http.StatusBadRequest, "cache key must be 64 lowercase hex digits")
-		return
-	}
-	c, ok := s.cacheFor(w)
-	if !ok {
-		return
-	}
-	b, err := io.ReadAll(io.LimitReader(r.Body, storage.MaxPeerEntry+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("read entry: %v", err))
-		return
-	}
-	if len(b) > storage.MaxPeerEntry {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("cache entry exceeds %d bytes", storage.MaxPeerEntry))
-		return
-	}
-	if err := c.PutRaw(key, b); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // --- GET/POST /v1/workers -------------------------------------------------

@@ -19,7 +19,6 @@
 //	                        same table (sim.Artifacts) and driver
 //	GET  /v1/bench          the benchmark / mix / mode catalog
 //	GET  /healthz           liveness + engine counters
-//	GET/PUT /v1/cache/{key}    the cache-peer protocol (raw entries)
 //	GET/POST /v1/workers    coordinator worker registration
 //
 // Every sweep endpoint (/v1/matrix in both forms, /v1/study/*,
@@ -79,11 +78,10 @@ const DefaultMaxTotalInsts = 64_000_000
 
 // Config parameterises a Server.
 type Config struct {
-	// Engine runs /v1/run, and every sweep unless Coordinator is set; its
-	// cache serves the cache-peer endpoints. It must be non-nil; give it
-	// a Cache to get the warm-hit behaviour the service exists for. Its
-	// trace store (Traces, or the engine's private one) records each
-	// benchmark once per process.
+	// Engine runs /v1/run, and every sweep unless Coordinator is set. It
+	// must be non-nil; give it a Cache to get the warm-hit behaviour the
+	// service exists for. Its trace store (Traces, or the engine's
+	// private one) records each benchmark once per process.
 	Engine *sim.Engine
 	// MaxInflight bounds concurrently *computing* requests (validation
 	// and coalesced waiters are not counted). <= 0 means twice
@@ -111,8 +109,8 @@ type Config struct {
 	// worker answer is kept in that cache, so a repeated sweep costs no
 	// hop. /v1/run stays on Engine: a single cell is the worker job
 	// itself, so fanning it out would only add a hop, and a warm one is
-	// answered from this daemon's own cache, which -cache-peers can fill
-	// from the workers'. See internal/dist.
+	// answered from this daemon's own cache, which holds every cell a
+	// sweep through this coordinator has run. See internal/dist.
 	Coordinator *dist.Coordinator
 }
 
@@ -176,8 +174,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/study/smt", s.handleSMT)
 	s.mux.HandleFunc("POST /v1/study/vpred", s.handleVPred)
 	s.mux.HandleFunc("GET /v1/artifacts/{name}", s.handleArtifact)
-	s.mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
-	s.mux.HandleFunc("PUT /v1/cache/{key}", s.handleCachePut)
 	s.mux.HandleFunc("GET /v1/workers", s.handleWorkersGet)
 	s.mux.HandleFunc("POST /v1/workers", s.handleWorkersPost)
 	return s

@@ -26,27 +26,17 @@ const cacheVersion = 1
 // statistics.
 //
 // The cache is key derivation plus the entry codec over a storage.Tier,
-// which it embeds: the tier owns the files, the circuit breaker, the
-// degraded-mode overlay and its flush, and the peer tier (Dir, Degraded,
-// Breaker, MemEntries, Len, SetPeers, PeerHits, PeerPushes and Raw are
-// the tier's). Every entry, whatever its kind or source — local disk,
-// the overlay, or a cache peer — passes one decode gate that checks
-// version, key, kind and payload checksum. Corrupt, unreadable or
-// mismatched entries (truncated writes, hand-edited files, format drift,
-// another kind's entry under the key) are misses the tier removes, so a
-// damaged cache heals itself on the next run, and a malformed peer
-// response can never be served or replicated.
+// which it embeds: the tier owns the files, the circuit breaker and the
+// degraded-mode overlay and its flush (Dir, Degraded, Breaker,
+// MemEntries, Len and Raw are the tier's). Every entry, whatever its kind
+// and whether it comes from disk or the overlay, passes one decode gate
+// that checks version, key, kind and payload checksum. Corrupt,
+// unreadable or mismatched entries (truncated writes, hand-edited files,
+// format drift, another kind's entry under the key) are misses the tier
+// removes, so a damaged cache heals itself on the next run.
 type Cache struct {
 	*storage.Tier
-	local bool // a Local view: no peer reads, no pushes
 }
-
-// Local returns a view of the cache confined to its local tier: reads
-// see the overlay and the disk, never a peer, and writes are never
-// pushed to the peers. Keys, the decode gate and the entry bytes are the
-// cache's own. A dist coordinator answers a job from its cache through
-// it, and keeps its workers' answers there (see internal/dist).
-func (c *Cache) Local() *Cache { return &Cache{Tier: c.Tier, local: true} }
 
 // OpenCache opens (creating if needed) a cache rooted at dir on the real
 // filesystem with default circuit-breaker settings.
@@ -150,9 +140,7 @@ func statsSum(stats any) string {
 // and kind, and the payload checksum — decoding the stats into out (a
 // pointer to the kind's stats type) in the same pass. It is the one gate
 // every entry passes on its way to a caller, whether the bytes came from
-// local disk, the degraded overlay, or a cache peer — which is why a
-// malformed peer response can never be served or replicated. A rejected
-// entry leaves out zeroed.
+// disk or the degraded overlay. A rejected entry leaves out zeroed.
 func decodeEntry(key, kind string, b []byte, out any) bool {
 	e := entry{Identity: &skipJSON{}, Stats: out}
 	// A bit-corrupted read can survive JSON parsing (a flipped byte inside
@@ -170,30 +158,20 @@ func decodeEntry(key, kind string, b []byte, out any) bool {
 }
 
 // get decodes the entry for key into out, reporting whether an intact
-// entry of the kind was present — locally or, failing that and outside
-// a Local view, at a cache peer (the tier stores an accepted peer entry
-// locally).
+// entry of the kind was present.
 func (c *Cache) get(key, kind string, out any) bool {
-	accept := func(b []byte) bool { return decodeEntry(key, kind, b, out) }
-	if c.local {
-		return c.Tier.GetLocal(key, accept)
-	}
-	return c.Tier.Get(key, accept)
+	return c.Tier.Get(key, func(b []byte) bool { return decodeEntry(key, kind, b, out) })
 }
 
 // put stores one cell's entry through the tier: atomically on disk, or
 // parked in the overlay while the disk is refusing writes (degraded mode
-// trades durability for availability), and, outside a Local view,
-// replicated to the peers in push mode.
+// trades durability for availability).
 func (c *Cache) put(key, kind string, identity, stats any) error {
 	b, err := json.MarshalIndent(entry{
 		Version: cacheVersion, Key: key, Sum: statsSum(stats), Kind: kind, Identity: identity, Stats: stats,
 	}, "", " ")
 	if err != nil {
 		return fmt.Errorf("sim: cache put %s: %w", kind, err)
-	}
-	if c.local {
-		return c.Tier.PutLocal(key, b)
 	}
 	return c.Tier.Put(key, b)
 }
@@ -225,33 +203,8 @@ func (c *Cache) PutStudy(s Study, stats any) error {
 	return c.put(key, s.Kind(), json.RawMessage(id), stats)
 }
 
-// rawEnvelope is the part of an entry a peer-supplied payload must get
-// right before PutRaw will store it: the format version and the
-// self-described key. The payload checksum is deliberately not
-// re-verified here — it is computed over the *typed* canonical encoding,
-// which only the reader knows — so the read path (decodeEntry) stays
-// the final gate and a corrupt accepted entry
-// heals there instead of being served.
-type rawEnvelope struct {
-	Version int    `json:"version"`
-	Key     string `json:"key"`
-}
-
-// PutRaw validates and stores entry bytes received over the cache-peer
-// protocol, locally only (a pushed entry is not echoed back to the
-// peers). The bytes must be a JSON entry whose envelope matches the key
-// they were pushed under; anything else is rejected so a confused or
-// malicious peer cannot plant entries under foreign keys.
-func (c *Cache) PutRaw(key string, b []byte) error {
-	var env rawEnvelope
-	if err := json.Unmarshal(b, &env); err != nil {
-		return fmt.Errorf("sim: cache peer put: not an entry: %v", err)
-	}
-	if env.Version != cacheVersion {
-		return fmt.Errorf("sim: cache peer put: entry version %d, want %d", env.Version, cacheVersion)
-	}
-	if env.Key != key {
-		return fmt.Errorf("sim: cache peer put: entry describes key %.16s..., pushed under %.16s...", env.Key, key)
-	}
-	return c.PutLocal(key, b)
-}
+// SetPeers does nothing.
+//
+// Deprecated: the cache reads and writes only its own overlay and disk;
+// there is no cache-peer tier to attach.
+func (c *Cache) SetPeers(peers storage.KV, push bool) {}

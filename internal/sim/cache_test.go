@@ -307,9 +307,9 @@ func TestOpenCacheRejectsEmptyDir(t *testing.T) {
 
 // TestCacheKeyValuesPinned pins literal key values. Keys name cache files,
 // place cluster jobs (rendezvous over the key), coalesce requests and
-// address cache peers, so a refactor that silently moves every key would
-// cold-start every deployed cache and reshuffle cluster placement while
-// passing the relative key tests above.
+// name the entries a coordinator keeps, so a refactor that silently
+// moves every key would cold-start every deployed cache and reshuffle
+// cluster placement while passing the relative key tests above.
 func TestCacheKeyValuesPinned(t *testing.T) {
 	spec := Spec{Bench: "gcc", Depth: 20, Mode: cpu.PredARVICurrent, MaxInsts: 250000}
 	smtStudyKey, err := StudyKey(SMTStudy{Mix: workload.MixByName("ijpeg+li"), Policy: smt.ICOUNT, Config: smt.DefaultConfig()})

@@ -62,16 +62,15 @@
 //     (internal/server via cmd/arvid). The result cache persists per-cell
 //     results as key derivation plus a codec over a storage.Tier, which
 //     owns the disk-fault protocol (circuit breaker, degraded-mode
-//     overlay and flush), self-healing and the cache peers. Cache.Local
-//     is the cache without its peers, through which the dist coordinator
-//     answers jobs it already holds and keeps worker answers; a study's
-//     Record builds its grid cell for both the engine and the
-//     coordinator. The trace store is memory-only: it records a
-//     program's trace on first use, under a per-key singleflight, and
-//     keeps the decoded traces in an LRU.
+//     overlay and flush) and self-healing. The dist coordinator answers
+//     jobs it already holds from its engine's cache and keeps worker
+//     answers there; a study's Record builds its grid cell for both the
+//     engine and the coordinator. The trace store is memory-only: it
+//     records a program's trace on first use, under a per-key
+//     singleflight, and keeps the decoded traces in an LRU.
 //   - ParseMode / ValidateSpec and friends (validate.go) — the shared
 //     user-input rules, so every front end rejects a bad value with the
-//     same message (ValidateBaseURL covers worker and peer URLs,
+//     same message (ValidateBaseURL covers worker URLs,
 //     ValidateNonNegative the count and duration flags whose 0 means a
 //     default).
 package sim

@@ -178,7 +178,7 @@ func ValidatePredictor(name string) error {
 	return fmt.Errorf("unknown value predictor %q", name)
 }
 
-// ValidateBaseURL rejects a worker or cache-peer base URL that endpoint
+// ValidateBaseURL rejects a worker base URL that endpoint
 // paths cannot be appended to: it must be an absolute http or https URL
 // with a host, and carry no query or fragment, which would swallow the
 // path (http://h:1/?x=1 plus /v1/run asks http://h:1/ with a query).

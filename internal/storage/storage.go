@@ -3,7 +3,7 @@
 // injecting disk faults deterministically in tests, and degrading to
 // memory-only operation when a real disk misbehaves.
 //
-// The package has five parts:
+// The package has four parts:
 //
 //   - FS, the five-operation filesystem interface the tier consumes,
 //     with OS as the obvious real implementation.
@@ -18,10 +18,8 @@
 //     DESIGN.md's failure domains section for the thresholds and the
 //     probation rule.
 //   - Tier, one directory of atomically written files behind a Breaker,
-//     with the degraded-mode overlay, self-healing reads through the
-//     caller's decoder, and an optional peer tier.
-//   - KV and PeerKV, the peer backend a Tier consults on local misses:
-//     the HTTP cache-peer protocol between worker daemons.
+//     with the degraded-mode overlay and self-healing reads through the
+//     caller's decoder.
 package storage
 
 import (

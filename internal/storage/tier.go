@@ -6,14 +6,12 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Tier is the persistence tier under the result cache: a directory of
 // files, one per key, behind a circuit breaker, with a memory overlay for
-// the writes the disk refused and an optional peer tier consulted on
-// local misses. The payload format, and any integrity check on it,
-// belongs to the caller's codec; the tier only moves bytes.
+// the writes the disk refused. The payload format, and any integrity
+// check on it, belongs to the caller's codec; the tier only moves bytes.
 //
 //   - Files. Key k lives in dir/k+ext, written atomically (temp file +
 //     rename) so a crash mid-write leaves the old file or none, never a
@@ -34,13 +32,9 @@ import (
 //     left memory-only. Keys are content addresses, so a parked entry is
 //     exactly the bytes the disk would have held: degraded mode changes
 //     durability, never results. The overlay is unbounded.
-//   - Healing. Get and GetLocal hand the bytes to the caller's decoder;
-//     bytes it rejects are removed from the overlay and from disk, so the
-//     next Put rewrites the entry.
-//   - Peers. On a local miss Get asks the peer tier (SetPeers), gates its
-//     bytes through the same decoder and stores accepted bytes locally.
-//     In push mode Put also replicates to the peers, best-effort.
-//     GetLocal and PutLocal never touch the peers.
+//   - Healing. Get hands the bytes to the caller's decoder; bytes it
+//     rejects are removed from the overlay and from disk, so the next Put
+//     rewrites the entry.
 //
 // All methods are safe for concurrent use.
 type Tier struct {
@@ -48,13 +42,6 @@ type Tier struct {
 	fs  FS
 	ext string
 	brk *Breaker
-
-	peersMu sync.RWMutex
-	peers   KV // nil: no peer tier
-	push    bool
-
-	peerHits   atomic.Int64
-	peerPushes atomic.Int64
 
 	mu  sync.Mutex
 	mem map[string][]byte // overlay of the writes the disk refused
@@ -107,35 +94,11 @@ func (t *Tier) Len() (int, error) {
 	return len(matches), nil
 }
 
-// SetPeers attaches a peer backend consulted on local misses (typically
-// a PeerKV over the other workers' daemons). When push is true, Put also
-// replicates every entry to the peers, best-effort, so a cluster warms
-// proactively instead of on demand. Call before serving; concurrent
-// calls are safe.
-func (t *Tier) SetPeers(peers KV, push bool) {
-	t.peersMu.Lock()
-	t.peers, t.push = peers, push
-	t.peersMu.Unlock()
-}
-
-// PeerHits reports how many entries were served from the peer tier.
-func (t *Tier) PeerHits() int64 { return t.peerHits.Load() }
-
-// PeerPushes reports how many entries were successfully replicated to
-// the peer tier.
-func (t *Tier) PeerPushes() int64 { return t.peerPushes.Load() }
-
 func (t *Tier) path(key string) string { return filepath.Join(t.dir, key+t.ext) }
 
-func (t *Tier) peerSet() (KV, bool) {
-	t.peersMu.RLock()
-	defer t.peersMu.RUnlock()
-	return t.peers, t.push
-}
-
 // Raw returns a key's stored bytes without interpreting them: the
-// overlay first, then the disk. It is the read side of the cache-peer
-// protocol, whose requester validates what it fetched.
+// overlay first, then the disk. Get reads through it; tests and audits
+// use it to compare entries byte for byte.
 func (t *Tier) Raw(key string) ([]byte, bool) {
 	t.mu.Lock()
 	b, ok := t.mem[key]
@@ -156,34 +119,10 @@ func (t *Tier) Raw(key string) ([]byte, bool) {
 	return b, true
 }
 
-// Get hands a key's bytes to accept, the caller's decoder, and reports
-// whether it accepted them: the local bytes first (GetLocal), then the
-// peer tier's. Accepted peer bytes are stored locally (PutLocal), so the
-// next hit is local. accept may therefore run twice: on the local bytes,
-// then the peer's.
+// Get hands a key's bytes (Raw: the overlay, then the disk) to accept,
+// the caller's decoder, and reports whether it accepted them. Rejected
+// bytes are removed, so the entry heals.
 func (t *Tier) Get(key string, accept func([]byte) bool) bool {
-	if t.GetLocal(key, accept) {
-		return true
-	}
-	peers, _ := t.peerSet()
-	if peers == nil {
-		return false
-	}
-	b, err := peers.Get(key)
-	if err != nil || !accept(b) {
-		return false // peers accelerate, they never block or poison
-	}
-	// A local store failure parks the bytes via the usual breaker path
-	// and is deliberately not surfaced: the entry was served.
-	_ = t.PutLocal(key, b)
-	t.peerHits.Add(1)
-	return true
-}
-
-// GetLocal is Get without the peer tier: it hands the key's local bytes
-// (Raw: the overlay, then the disk) to accept and reports whether it
-// accepted them. Rejected bytes are removed, so the entry heals.
-func (t *Tier) GetLocal(key string, accept func([]byte) bool) bool {
 	b, ok := t.Raw(key)
 	if !ok {
 		return false
@@ -206,19 +145,7 @@ func (t *Tier) discard(key string) {
 	}
 }
 
-// Put stores a freshly produced entry locally (PutLocal) and, in push
-// mode, replicates it to the peers regardless of local durability: a
-// broken local disk is exactly when the cluster copy matters most.
-// Entries fetched from peers are stored with PutLocal, never echoed back.
-func (t *Tier) Put(key string, b []byte) error {
-	err := t.PutLocal(key, b)
-	if peers, push := t.peerSet(); peers != nil && push && peers.Put(key, b) == nil {
-		t.peerPushes.Add(1)
-	}
-	return err
-}
-
-// PutLocal lands an entry on disk, routing around a broken disk:
+// Put lands an entry on disk, routing around a broken disk:
 //
 //   - breaker closed: write through; a failure feeds the breaker, parks
 //     the bytes in the overlay (they still serve) and is returned.
@@ -228,7 +155,7 @@ func (t *Tier) Put(key string, b []byte) error {
 //
 // The tier keeps b (parked, until flushed); the caller must not modify
 // it afterwards.
-func (t *Tier) PutLocal(key string, b []byte) error {
+func (t *Tier) Put(key string, b []byte) error {
 	open := t.brk.Open()
 	if open && !t.brk.Allow() {
 		t.park(key, b)

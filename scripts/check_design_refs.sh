@@ -89,7 +89,7 @@ cite "DESIGN\\.md.s failure domains section" \
      'failure domains & degraded modes (cancellation points, circuit breakers, chaos suite)'
 cite "DESIGN\\.md.s distributed execution section" \
      '^## Distributed execution( |$)' \
-     'distributed execution (coordinator/worker tier, cache peers, streaming)'
+     'distributed execution (coordinator/worker tier, cache-first fan-out, streaming)'
 
 # Pass 2: every *line* citing DESIGN.md must be accounted for by a known
 # topic (a citation may continue the sentence begun on the previous

@@ -57,6 +57,15 @@ remote_jobs() { # remote_jobs: the coordinator's remote_jobs counter
     curl -sf http://127.0.0.1:8753/healthz | sed -n 's/.*"remote_jobs": \([0-9]*\).*/\1/p'
 }
 
+no_coord_sims() { # no_coord_sims <failure message>: the coordinator has simulated nothing
+    curl -sf http://127.0.0.1:8753/healthz > "$tmp/health.json"
+    if ! grep -q '"simulated": 0,' "$tmp/health.json"; then
+        echo "cluster_smoke: $1" >&2
+        cat "$tmp/health.json" >&2
+        exit 1
+    fi
+}
+
 curl -sf -d "$body" http://127.0.0.1:8750/v1/matrix > "$tmp/single.json"
 curl -sf -d "$body" http://127.0.0.1:8753/v1/matrix > "$tmp/dist.json"
 cmp "$tmp/single.json" "$tmp/dist.json"
@@ -103,12 +112,18 @@ tail -n 1 "$tmp/stream.ndjson" | grep -q '"done"'
 curl -sf 'http://127.0.0.1:8750/v1/artifacts/fig5b?n=20000' > "$tmp/single-fig5b.txt"
 curl -sf 'http://127.0.0.1:8753/v1/artifacts/fig5b?n=20000' > "$tmp/dist-fig5b.txt"
 cmp "$tmp/single-fig5b.txt" "$tmp/dist-fig5b.txt"
-curl -sf http://127.0.0.1:8753/healthz > "$tmp/health.json"
-if ! grep -q '"simulated": 0,' "$tmp/health.json"; then
-    echo "cluster_smoke: coordinator simulated cells itself with healthy workers" >&2
-    cat "$tmp/health.json" >&2
-    exit 1
-fi
+no_coord_sims "coordinator simulated cells itself with healthy workers"
 echo "cluster_smoke: distributed fig5b byte-identical to single-node, all cells on workers"
+
+# A /v1/run always runs on the daemon it is sent to, and a daemon's cache
+# serves only that daemon. The coordinator's own /v1/run of a swept cell
+# is answered from the entry it kept, byte-identical to the solo
+# daemon's, so the coordinator still simulates nothing.
+run='{"bench":"li","depth":20,"mode":"arvi-current","max_insts":20000}'
+curl -sf -d "$run" http://127.0.0.1:8750/v1/run > "$tmp/single-run.json"
+curl -sf -d "$run" http://127.0.0.1:8753/v1/run > "$tmp/dist-run.json"
+cmp "$tmp/single-run.json" "$tmp/dist-run.json"
+no_coord_sims "coordinator simulated a /v1/run of a cell it kept"
+echo "cluster_smoke: coordinator /v1/run answered from its kept entry"
 
 echo "cluster_smoke: ok"
